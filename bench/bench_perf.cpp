@@ -1,36 +1,30 @@
-// Perf-trajectory harness: the one binary that measures the quadratic
-// hot paths and their replacements side by side.
+// Perf-trajectory harness: the one binary that records the algorithmic
+// work and wall time of each production hot path.
 //
 // Sweeps
 //   * FRA planning at k in {100, 500, 2000} (quick: {50, 100, 200}) with
-//     both selection engines (indexed decrease-key heap vs full lattice
-//     scan), and
+//     the indexed selection heap,
 //   * CMA at N in {100, 400, 1000} nodes (quick: {60, 150}) for 200 slots
 //     (quick: 50) under each link model (disk / distance-loss /
-//     Gilbert-Elliott) with both bus delivery modes (grid-pruned vs
-//     all-pairs),
-//   * sharded CMA at N = 10000 (quick: 2000) on a constant-density region
-//     (side = sqrt(N / 0.1), the paper's ~0.1 nodes/m^2) with the
-//     tile-sharded slot schedule against the unsharded grid-pruned seed
-//     path — bit-identical trajectories and drop taxonomy required, with
-//     a paired-ratio `speedup_vs_unsharded` and a `shard_degraded` hard
-//     gate (< 1.0 fails --check, the win-margin precedent),
-//   * delta evaluation of one FRA deployment at resolution 256 with both
-//     point-location engines (per-point remembering walk vs triangle
-//     raster spans), and a fig10-style sweep of several deployments
-//     against one frame with the reference-lattice cache on,
+//     Gilbert-Elliott),
+//   * CMA at N = 10000 (quick: 2000) on a constant-density region
+//     (side = sqrt(N / 0.1), the paper's ~0.1 nodes/m^2), where the tile
+//     count grows with N,
+//   * delta evaluation of one FRA deployment at resolution 256, the
+//     cavity-local tracker over the same plan, and a fig10-style sweep of
+//     several deployments against one frame with the reference-lattice
+//     cache on,
 //   * a planner-service job mix — the same deterministic Score / Plan /
 //     WhatIf jobs submitted to a PlannerService at pool sizes 1 and 4 AND
 //     run as a serial loop of direct calls (fresh full re-sweep per
 //     what-if) — bit-identical deltas and deployments required, with
-//     throughput (jobs/s), per-job latency percentiles, a paired-ratio
-//     `speedup_vs_serial`, and a `service_degraded` hard gate (< 1.0
-//     fails --check),
+//     throughput (jobs/s), per-job latency percentiles, and a paired-ratio
+//     `speedup_vs_serial`,
 // and emits BENCH_perf.json with wall times AND the algorithmic counters
-// (transmit attempts per slot, candidates scanned per iteration, MST
-// recomputes, heap pushes / stale pops, grid cells probed, point-location
-// walks, batched rows, reference-cache hits), plus a `machine` block
-// (hardware threads, CPS_THREADS, pool size, default engines) so the perf
+// (transmit attempts per slot, candidates examined per iteration, MST
+// recomputes, heap pushes / stale pops, tile matching pairs, point
+// locations, batched rows, reference-cache hits), plus a `machine` block
+// (hardware threads, CPS_THREADS, pool size, build stamps) so the perf
 // trajectory is comparable across runners.
 //
 // The counters — not the wall times — are the primary regression signal:
@@ -42,21 +36,11 @@
 // p50/p99 over the retained samples must stay under baseline * band, with
 // multiplicative bands (stored in the baseline's `latency_gate`) chosen
 // to absorb runner noise — the latency gate catches order-of-magnitude
-// blowups, not percent-level drift.  --check additionally enforces
-// absolute gates independent of the baseline's numbers: any record
-// flagged `heap_degraded`, `delta_degraded`, `shard_degraded`, or
-// `service_degraded` fails, and fra.k100's `win_margin_vs_scan` must
-// stay >= 1.0 — the heap engine earns its default by never losing to the
-// scan it replaced, and the sharded CMA schedule and the planner service
-// likewise must never lose to the seed paths they replaced.  Each margin
-// is the median of per-repeat paired ratios (e.g. scan_i / heap_i) over
-// interleaved samples, so machine drift cancels pairwise instead of
-// biasing the engine measured first.
+// blowups, not percent-level drift.  --check additionally enforces the
+// absolute gates of kGates (check_against_baseline) on derived values.
 //
-// Every paired sweep doubles as an equivalence oracle: heap-vs-scan must
-// select bit-identical deployments and grid-vs-full must produce
-// bit-identical node trajectories, delivery counters, and per-reason drop
-// counters, or the bench exits non-zero.
+// The in-bench equivalence checks (tracked vs swept δ, cached vs uncached
+// δ, service vs direct calls) exit non-zero on any bit difference.
 //
 // Flags: --quick (CI-sized sweep), --out PATH (default BENCH_perf.json),
 // --check BASELINE.json (compare counters + latency percentiles),
@@ -80,7 +64,6 @@
 
 #include "common.hpp"
 #include "core/cma.hpp"
-#include "core/cma_sharding.hpp"
 #include "core/delta.hpp"
 #include "core/fra.hpp"
 #include "core/planner.hpp"
@@ -177,19 +160,18 @@ Record timed_repeat(std::size_t repeats, F&& run_once) {
   return rec;
 }
 
-// A/B variant for engine pairs: interleaves the two builders' samples
-// (a, b, a, b, ...) after one warmup each, so both engines see the same
-// machine epoch.  Block ordering (all of A, then all of B) lets slow
-// drift — frequency ramps, allocator growth across a long bench — bias
-// whichever block runs first by more than the structural delta the
-// win-margin gate watches at k = 100.  When `pair_ratios` is given it
-// receives b_i / a_i per repeat: adjacent samples share an epoch, so the
-// median of those paired ratios estimates the A-vs-B margin with the
-// drift cancelled — much tighter than the ratio of independent p50s.
+// A/B variant for the service-vs-serial pair: interleaves the two
+// builders' samples (a, b, a, b, ...) after one warmup each, so both see
+// the same machine epoch.  Block ordering (all of A, then all of B) lets
+// slow drift — frequency ramps, allocator growth across a long bench —
+// bias whichever block runs first.  `pair_ratios` receives b_i / a_i per
+// repeat: adjacent samples share an epoch, so the median of those paired
+// ratios estimates the A-vs-B margin with the drift cancelled — much
+// tighter than the ratio of independent p50s.
 template <typename FA, typename FB>
-std::pair<Record, Record> timed_repeat_pair(
-    std::size_t repeats, FA&& run_a, FB&& run_b,
-    std::vector<double>* pair_ratios = nullptr) {
+std::pair<Record, Record> timed_repeat_pair(std::size_t repeats, FA&& run_a,
+                                            FB&& run_b,
+                                            std::vector<double>& pair_ratios) {
   std::vector<double> sa, sb;
   sa.reserve(repeats);
   sb.reserve(repeats);
@@ -201,10 +183,8 @@ std::pair<Record, Record> timed_repeat_pair(
     rb = run_b();
     sb.push_back(rb.wall_ms);
   }
-  if (pair_ratios) {
-    for (std::size_t r = 0; r < repeats; ++r) {
-      pair_ratios->push_back(sa[r] == 0.0 ? 0.0 : sb[r] / sa[r]);
-    }
+  for (std::size_t r = 0; r < repeats; ++r) {
+    pair_ratios.push_back(sa[r] == 0.0 ? 0.0 : sb[r] / sa[r]);
   }
   finalize_latency(ra, std::move(sa));
   finalize_latency(rb, std::move(sb));
@@ -225,23 +205,16 @@ double ratio(double num, double den) { return den == 0.0 ? 0.0 : num / den; }
 
 // --- FRA sweep -----------------------------------------------------------
 
-Record run_fra(const field::Field& frame, std::size_t k,
-               core::SelectionEngine engine,
-               std::vector<geo::Vec2>& positions_out) {
+Record run_fra(const field::Field& frame, std::size_t k) {
   Record rec;
-  rec.id = "fra.k" + std::to_string(k) + "." +
-           (engine == core::SelectionEngine::kHeap ? "heap" : "scan");
+  rec.id = "fra.k" + std::to_string(k);
 
-  core::FraConfig cfg;  // error_grid = 100, the paper's lattice.
-  cfg.selection_engine = engine;
-  core::FraPlanner planner(cfg);
+  core::FraPlanner planner;  // error_grid = 100, the paper's lattice.
 
   obs::registry().reset();
   const double t0 = now_ms();
-  const core::FraResult result = planner.plan_detailed(
-      frame, core::PlanRequest{bench::kRegion, k, bench::kRc});
+  planner.plan(frame, core::PlanRequest{bench::kRegion, k, bench::kRc});
   rec.wall_ms = now_ms() - t0;
-  positions_out = result.deployment.positions;
 
   for (const char* name :
        {"core.fra.iterations", "core.fra.candidates_scanned",
@@ -254,37 +227,24 @@ Record run_fra(const field::Field& frame, std::size_t k,
     rec.counters.emplace_back(name, cval(name));
   }
 
+  // Candidates examined per selection: what the heap popped plus what its
+  // storm-mode flat scans swept (candidates_scanned).  Deterministic, so
+  // --check gates it exactly (kGates).
   const double iters =
       static_cast<double>(std::max<std::uint64_t>(1, cval("core.fra.iterations")));
-  // The comparable work rate: candidates examined per selection.  The
-  // scan touches the whole lattice every iteration; the heap touches what
-  // it pops plus whatever its storm-mode flat scans swept (the indexed
-  // heap folds those into candidates_scanned, which the heap engine
-  // otherwise leaves at zero).
-  const std::uint64_t examined =
-      engine == core::SelectionEngine::kHeap
-          ? cval("core.fra.heap_pops") + cval("core.fra.candidates_scanned")
-          : cval("core.fra.candidates_scanned");
-  rec.derived.emplace_back("scans_per_iteration",
-                           static_cast<double>(examined) / iters);
-  if (engine == core::SelectionEngine::kHeap) {
-    const double pops =
-        static_cast<double>(std::max<std::uint64_t>(1, cval("core.fra.heap_pops")));
-    const double stale_ratio =
-        static_cast<double>(cval("core.fra.heap_stale_pops")) / pops;
-    rec.derived.emplace_back("stale_pop_ratio", stale_ratio);
-    // The indexed decrease-key heap holds one live entry per candidate —
-    // stale pops are structurally impossible, so a nonzero ratio means
-    // the engine regressed to lazy deletion.  --check makes this flag a
-    // hard failure (see check_against_baseline).
-    if (stale_ratio > 0.9) {
-      rec.derived.emplace_back("heap_degraded", 1.0);
-      std::fprintf(stderr,
-                   "warning: %s heap degraded — stale_pop_ratio %.3f > 0.9 "
-                   "(core.fra.heap_stale_pop_ratio)\n",
-                   rec.id.c_str(), stale_ratio);
-    }
-  }
+  rec.derived.emplace_back(
+      "scans_per_iteration",
+      static_cast<double>(cval("core.fra.heap_pops") +
+                          cval("core.fra.candidates_scanned")) /
+          iters);
+  // The indexed decrease-key heap holds one live entry per candidate —
+  // stale pops are structurally impossible, so a nonzero ratio means the
+  // heap regressed to lazy deletion (gated in kGates).
+  rec.derived.emplace_back(
+      "stale_pop_ratio",
+      static_cast<double>(cval("core.fra.heap_stale_pops")) /
+          static_cast<double>(
+              std::max<std::uint64_t>(1, cval("core.fra.heap_pops"))));
   return rec;
 }
 
@@ -292,7 +252,7 @@ Record run_fra(const field::Field& frame, std::size_t k,
 
 std::unique_ptr<net::LinkModel> make_link(const std::string& model,
                                           double rc) {
-  constexpr std::uint64_t kSeed = 11;  // Same seed across delivery modes.
+  constexpr std::uint64_t kSeed = 11;
   if (model == "disk") return std::make_unique<net::DiskLink>(rc, 0.05, kSeed);
   if (model == "distloss")
     return std::make_unique<net::DistanceLossLink>(rc, 0.5, 2.0, kSeed);
@@ -301,11 +261,9 @@ std::unique_ptr<net::LinkModel> make_link(const std::string& model,
 }
 
 Record run_cma(const field::TimeVaryingField& env, std::size_t n,
-               const std::string& model, net::DeliveryMode mode,
-               std::size_t slots, std::vector<geo::Vec2>& positions_out) {
+               const std::string& model, std::size_t slots) {
   Record rec;
-  rec.id = "cma.n" + std::to_string(n) + "." + model + "." +
-           (mode == net::DeliveryMode::kGrid ? "grid" : "full");
+  rec.id = "cma.n" + std::to_string(n) + "." + model;
 
   core::CmaConfig cfg;  // Rc = 10, Rs = 5, v = 1 m/min, beta = 2.
   cfg.rc = bench::kRc * 1.0001;  // Keep the pitch grids connected.
@@ -315,42 +273,34 @@ Record run_cma(const field::TimeVaryingField& env, std::size_t n,
                               .positions,
                           cfg, trace::minutes(10, 0));
   sim.set_link_model(make_link(model, cfg.rc));
-  sim.set_delivery_mode(mode);
 
   obs::registry().reset();
   const double t0 = now_ms();
   sim.run(slots);
   rec.wall_ms = now_ms() - t0;
-  positions_out = sim.positions();
 
   for (const char* name :
        {"net.bus.transmit_attempts", "net.bus.deliveries",
         "net.bus.delivery_failures", "net.bus.messages_sent",
-        "net.bus.grid_rebuilds", "net.bus.drops_total",
-        "net.bus.drop.dead_sender", "net.bus.drop.dead_receiver",
-        "net.bus.drop.out_of_range", "net.bus.drop.link_loss_draw",
-        "net.bus.drop.ttl_expired"}) {
+        "net.bus.drops_total", "net.bus.drop.dead_sender",
+        "net.bus.drop.dead_receiver", "net.bus.drop.out_of_range",
+        "net.bus.drop.link_loss_draw", "net.bus.drop.ttl_expired"}) {
     rec.counters.emplace_back(name, cval(name));
   }
   rec.derived.emplace_back(
       "attempts_per_slot",
       static_cast<double>(cval("net.bus.transmit_attempts")) /
           static_cast<double>(slots));
-  if (mode == net::DeliveryMode::kGrid) {
-    rec.derived.emplace_back(
-        "cells_probed_mean",
-        obs::registry().histogram("net.bus.cells_probed").mean());
-  }
   return rec;
 }
 
-// --- Sharded CMA sweep ---------------------------------------------------
+// --- Constant-density CMA sweep ------------------------------------------
 
 // Constant-density scaling: the canonical 100 x 100 region saturates near
-// N = 1000 at the paper's ~0.1 nodes/m^2, so the sharded points grow the
+// N = 1000 at the paper's ~0.1 nodes/m^2, so the large points grow the
 // region (side = sqrt(N / 0.1)) instead of packing the nodes — tile count
 // rises with N while per-tile radio degree stays at the paper's ~31.
-num::Rect shard_region(std::size_t n) {
+num::Rect density_region(std::size_t n) {
   const double side = std::sqrt(static_cast<double>(n) / 0.1);
   return num::Rect{0.0, 0.0, side, side};
 }
@@ -358,8 +308,8 @@ num::Rect shard_region(std::size_t n) {
 // A static Gaussian-mixture environment scaled to the region.  Analytic
 // rather than a recorded GreenOrbs window: the recorded frames cover only
 // the canonical region, and a static frame keeps per-sample cost flat so
-// the sweep isolates the slot-schedule / bus-delivery difference.
-field::StaticTimeField shard_env(const num::Rect& region) {
+// the sweep isolates the slot schedule and bus delivery.
+field::StaticTimeField density_field(const num::Rect& region) {
   const double w = region.width();
   const double h = region.height();
   std::vector<field::GaussianBump> bumps;
@@ -373,22 +323,19 @@ field::StaticTimeField shard_env(const num::Rect& region) {
       std::make_shared<field::GaussianMixtureField>(20.0, std::move(bumps)));
 }
 
-Record run_cma_sharded(const field::TimeVaryingField& env,
+Record run_cma_density(const field::TimeVaryingField& env,
                        const num::Rect& region, std::size_t n,
-                       std::size_t slots, bool sharded,
-                       std::vector<geo::Vec2>& positions_out) {
+                       std::size_t slots) {
   Record rec;
-  rec.id = "cma.n" + std::to_string(n) + ".disk." +
-           (sharded ? "sharded" : "unsharded");
+  rec.id = "cma.n" + std::to_string(n) + ".density";
 
   core::CmaConfig cfg;
   cfg.rc = bench::kRc * 1.0001;  // Keep the pitch grids connected.
   cfg.lcm = core::LcmMode::kPaper;
   // Coarser sensing lattice than the figure benches: at N = 10000 a 1 m
-  // pitch would make sensing dominate the slot and mask the bus delta
+  // pitch would make sensing dominate the slot and mask the bus work
   // this sweep measures.
   cfg.sample_spacing = 2.5;
-  if (sharded) cfg.sharding = core::ShardingMode::kTiles;
   core::CmaSimulation sim(env, region,
                           core::GridPlanner::make_grid(region, n).positions,
                           cfg, trace::minutes(10, 0));
@@ -398,7 +345,6 @@ Record run_cma_sharded(const field::TimeVaryingField& env,
   const double t0 = now_ms();
   sim.run(slots);
   rec.wall_ms = now_ms() - t0;
-  positions_out = sim.positions();
 
   for (const char* name :
        {"net.bus.transmit_attempts", "net.bus.deliveries",
@@ -406,8 +352,6 @@ Record run_cma_sharded(const field::TimeVaryingField& env,
         "net.bus.drops_total", "net.bus.drop.dead_sender",
         "net.bus.drop.dead_receiver", "net.bus.drop.out_of_range",
         "net.bus.drop.link_loss_draw", "net.bus.drop.ttl_expired",
-        "net.bus.beacon_delta_sent", "net.bus.beacon_full_sent",
-        "net.bus.beacon_delta_hits", "net.bus.beacon_payload_entries",
         "core.cma.shard.migrations", "core.cma.shard.ghost_exchanged",
         "core.cma.shard.match_pairs"}) {
     rec.counters.emplace_back(name, cval(name));
@@ -419,12 +363,10 @@ Record run_cma_sharded(const field::TimeVaryingField& env,
   rec.derived.emplace_back(
       "inbox_high_water_mean",
       obs::registry().histogram("net.bus.inbox_high_water").mean());
-  if (sharded) {
-    rec.derived.emplace_back(
-        "ghost_fraction_of_pairs",
-        ratio(static_cast<double>(cval("core.cma.shard.ghost_exchanged")),
-              static_cast<double>(cval("core.cma.shard.match_pairs"))));
-  }
+  rec.derived.emplace_back(
+      "ghost_fraction_of_pairs",
+      ratio(static_cast<double>(cval("core.cma.shard.ghost_exchanged")),
+            static_cast<double>(cval("core.cma.shard.match_pairs"))));
   return rec;
 }
 
@@ -432,14 +374,11 @@ Record run_cma_sharded(const field::TimeVaryingField& env,
 
 Record run_delta_eval(const field::Field& frame,
                       const std::vector<geo::Vec2>& positions,
-                      std::size_t resolution, core::DeltaEngine engine,
-                      double& delta_out) {
+                      std::size_t resolution, double& delta_out) {
   Record rec;
-  rec.id = "delta.res" + std::to_string(resolution) + "." +
-           (engine == core::DeltaEngine::kRaster ? "raster" : "walk");
+  rec.id = "delta.res" + std::to_string(resolution);
 
   core::DeltaMetric metric(bench::kRegion, resolution);
-  metric.set_engine(engine);
 
   obs::registry().reset();
   const double t0 = now_ms();
@@ -466,7 +405,7 @@ Record run_delta_eval(const field::Field& frame,
 // cavity report re-rasters only the lattice rows it touched, so the
 // trajectory costs O(changed area) per step where the from-scratch path
 // would re-sweep all res² points per probe.  --check hard-gates the
-// savings ratio at 10x (`delta_degraded`, see check_against_baseline).
+// savings ratio at 10x (kGates).
 Record run_delta_incremental(const field::Field& frame, std::size_t k,
                              std::size_t resolution, double& delta_out,
                              std::vector<geo::Vec2>& positions_out) {
@@ -507,13 +446,6 @@ Record run_delta_incremental(const field::Field& frame, std::size_t k,
                                    static_cast<double>(ds.full_sweep_points),
                                static_cast<double>(ds.points_reevaluated));
   rec.derived.emplace_back("full_sweep_savings", savings);
-  if (savings < 10.0) {
-    rec.derived.emplace_back("delta_degraded", 1.0);
-    std::fprintf(stderr,
-                 "warning: %s incremental engine degraded — "
-                 "full_sweep_savings %.1fx < 10x\n",
-                 rec.id.c_str(), savings);
-  }
   return rec;
 }
 
@@ -905,15 +837,10 @@ void write_json(std::ostream& out, const std::string& mode,
   out << "    \"build_type\": \"\",\n";
 #endif
 #if defined(CPS_BENCH_CCACHE)
-  out << "    \"ccache\": \"" << CPS_BENCH_CCACHE << "\",\n";
+  out << "    \"ccache\": \"" << CPS_BENCH_CCACHE << "\"\n";
 #else
-  out << "    \"ccache\": \"unknown\",\n";
+  out << "    \"ccache\": \"unknown\"\n";
 #endif
-  out << "    \"engines\": {\n";
-  out << "      \"fra_selection\": \"heap\",\n";
-  out << "      \"bus_delivery\": \"grid\",\n";
-  out << "      \"delta_point_location\": \"raster\"\n";
-  out << "    }\n";
   out << "  },\n";
   // Multiplicative tolerance bands for the latency gate, stored with the
   // baseline so the thresholds travel with the numbers they bound.  The
@@ -956,12 +883,46 @@ void write_json(std::ostream& out, const std::string& mode,
 
 // --- Baseline gate -------------------------------------------------------
 
+/// An absolute gate on a derived value: every record that carries
+/// `metric` must satisfy it, whatever the baseline's counters say.
+struct Gate {
+  enum class Kind {
+    kAtMost,          ///< value <= bound.
+    kAtLeast,         ///< value >= bound.
+    kEqualsBaseline,  ///< value == the baseline record's value, exactly.
+  };
+  const char* metric;
+  Kind kind;
+  double bound;  ///< Unused for kEqualsBaseline.
+  const char* why;
+};
+
+constexpr Gate kGates[] = {
+    // The indexed heap holds one live entry per candidate, so stale pops
+    // mean it regressed to lazy deletion.
+    {"stale_pop_ratio", Gate::Kind::kAtMost, 0.9,
+     "selection heap fell back to stale-pop-dominated behaviour"},
+    // Candidates examined per FRA selection are deterministic: any change
+    // is an algorithmic change and needs a baseline regeneration.
+    {"scans_per_iteration", Gate::Kind::kEqualsBaseline, 0.0,
+     "FRA examined a different number of candidates per selection"},
+    // The cavity-local δ tracker exists for its O(changed area) bound.
+    {"full_sweep_savings", Gate::Kind::kAtLeast, 10.0,
+     "incremental tracker re-evaluated more than 1/10 of the full-sweep "
+     "lattice work"},
+    // The service's what-if path is cavity-local by construction, so
+    // losing to a serial loop of full re-sweeps means the service layer
+    // (batching, snapshot sharing, base-state cache) regressed.
+    {"speedup_vs_serial", Gate::Kind::kAtLeast, 1.0,
+     "the planner service lost to the serial direct-call loop"},
+};
+
 // Counters are deterministic, so "regression" is sharp: any counter more
 // than 10% above its checked-in baseline fails.  Decreases pass (that is
 // an improvement — refresh the baseline to lock it in).  Latency
 // percentiles are gated with the baseline's own tolerance bands
 // (latency_gate) when both sides carry latency data; old baselines
-// without it gate counters only.
+// without it gate counters only.  Then every record is held to kGates.
 int check_against_baseline(const std::string& path,
                            const std::vector<Record>& records) {
   std::ifstream in(path);
@@ -996,8 +957,10 @@ int check_against_baseline(const std::string& path,
   int regressions = 0;
   std::size_t compared = 0;
   std::size_t latency_compared = 0;
+  std::map<std::string, const bench::Json*> base_by_id;
   for (const bench::Json& base_rec : baseline.at("records").array) {
     const std::string& id = base_rec.at("id").string;
+    base_by_id[id] = &base_rec;
     const auto it = by_id.find(id);
     if (it == by_id.end()) {
       std::fprintf(stderr, "REGRESSION %s: record missing from this run "
@@ -1040,63 +1003,33 @@ int check_against_baseline(const std::string& path,
       gate_percentile("p99_ms", it->second->latency.p99_ms, p99_band);
     }
   }
-  // Absolute FRA gates, independent of the baseline's numbers.  A
-  // degraded heap (stale-pop dominated selection) is a hard failure: the
-  // indexed engine cannot produce stale pops, so the flag means the
-  // engine itself regressed.  And at the canonical k = 100 — the point
-  // the lazy-deletion heap used to lose — the heap must not fall behind
-  // the scan it replaced.
   for (const Record& r : records) {
-    if (const double* flag = r.derived_value("heap_degraded");
-        flag != nullptr && *flag != 0.0) {
-      std::fprintf(stderr,
-                   "REGRESSION %s: heap_degraded is set — selection heap "
-                   "fell back to stale-pop-dominated behaviour\n",
-                   r.id.c_str());
-      ++regressions;
-    }
-    // The cavity-local δ tracker's reason to exist is the O(changed area)
-    // bound: re-evaluating fewer than 10x under the per-event full-sweep
-    // cost means the cavity scoping regressed, regardless of wall time.
-    if (const double* flag = r.derived_value("delta_degraded");
-        flag != nullptr && *flag != 0.0) {
-      std::fprintf(stderr,
-                   "REGRESSION %s: delta_degraded is set — incremental "
-                   "tracker re-evaluated more than 1/10 of the full-sweep "
-                   "lattice work\n",
-                   r.id.c_str());
-      ++regressions;
-    }
-    // Same contract for the tile-sharded CMA schedule: matching once per
-    // slot and transmitting only in-range pairs must beat the per-message
-    // grid probe, or the sharding layer has regressed structurally.
-    if (const double* flag = r.derived_value("shard_degraded");
-        flag != nullptr && *flag != 0.0) {
-      std::fprintf(stderr,
-                   "REGRESSION %s: shard_degraded is set — the tile-sharded "
-                   "schedule lost to the unsharded seed path\n",
-                   r.id.c_str());
-      ++regressions;
-    }
-    // And for the planner service: its what-if path is cavity-local by
-    // construction, so losing to a serial loop of full re-sweeps means
-    // the service layer itself (batching, snapshot sharing, base-state
-    // cache) regressed, regardless of the runner's core count.
-    if (const double* flag = r.derived_value("service_degraded");
-        flag != nullptr && *flag != 0.0) {
-      std::fprintf(stderr,
-                   "REGRESSION %s: service_degraded is set — the planner "
-                   "service lost to the serial direct-call loop\n",
-                   r.id.c_str());
-      ++regressions;
-    }
-    if (r.id == "fra.k100.heap") {
-      if (const double* margin = r.derived_value("win_margin_vs_scan");
-          margin != nullptr && *margin < 1.0) {
-        std::fprintf(stderr,
-                     "REGRESSION %s: win_margin_vs_scan %.3f < 1.0 — heap "
-                     "engine lost to the scan oracle at k=100\n",
-                     r.id.c_str(), *margin);
+    for (const Gate& gate : kGates) {
+      const double* value = r.derived_value(gate.metric);
+      if (value == nullptr) continue;
+      bool ok = true;
+      double bound = gate.bound;
+      switch (gate.kind) {
+        case Gate::Kind::kAtMost:
+          ok = *value <= bound;
+          break;
+        case Gate::Kind::kAtLeast:
+          ok = *value >= bound;
+          break;
+        case Gate::Kind::kEqualsBaseline: {
+          const auto base = base_by_id.find(r.id);
+          ok = base != base_by_id.end() && base->second->has("derived") &&
+               base->second->at("derived").has(gate.metric);
+          if (ok) {
+            bound = base->second->at("derived").at(gate.metric).number;
+            ok = *value == bound;
+          }
+          break;
+        }
+      }
+      if (!ok) {
+        std::fprintf(stderr, "REGRESSION %s: %s = %.17g against %.17g — %s\n",
+                     r.id.c_str(), gate.metric, *value, bound, gate.why);
         ++regressions;
       }
     }
@@ -1133,9 +1066,7 @@ int main(int argc, char** argv) {
                       quick ? "quadratic-path counters (quick sweep)"
                             : "quadratic-path counters (full sweep)");
 
-  // k = 100 rides in both modes: it is the paper's canonical density AND
-  // the size the lazy-deletion heap used to lose, so the quick (CI) sweep
-  // must cover it for the win-margin gate to bite.
+  // k = 100, the paper's canonical density, rides in both modes.
   const std::vector<std::size_t> fra_ks =
       quick ? std::vector<std::size_t>{50, 100, 200}
             : std::vector<std::size_t>{100, 500, 2000};
@@ -1147,7 +1078,7 @@ int main(int argc, char** argv) {
   const auto env = bench::canonical_field();
   const field::FieldSlice frame(env, bench::reference_time());
   // Pre-record the window CMA will replay so field lookups are cheap and
-  // identical across every (model, mode) pair.
+  // identical across every link model.
   const auto recorded =
       env.record(trace::minutes(10, 0),
                  trace::minutes(10, 0) + static_cast<double>(slots) + 1.0,
@@ -1156,221 +1087,57 @@ int main(int argc, char** argv) {
   std::vector<Record> records;
   int failures = 0;
 
-  // FRA: heap vs scan, bit-identical deployments required.  The pair is
-  // sampled with extra repeats: FRA records are milliseconds (unlike the
-  // CMA blocks), and the k=100 win margin gates on them, so the added
-  // samples are cheap insurance against container noise.
+  // FRA records are milliseconds (unlike the CMA blocks), so they get
+  // extra latency samples.
   const std::size_t fra_repeats = std::max<std::size_t>(repeats, 7);
   for (const std::size_t k : fra_ks) {
-    std::vector<geo::Vec2> heap_pos, scan_pos;
-    std::vector<double> pair_ratios;
-    // Build records as locals and push copies: references into `records`
-    // would dangle when a later push_back reallocates the vector.
-    auto [heap, scan] = timed_repeat_pair(
-        fra_repeats,
-        [&] {
-          return run_fra(frame, k, core::SelectionEngine::kHeap, heap_pos);
-        },
-        [&] {
-          return run_fra(frame, k, core::SelectionEngine::kScan, scan_pos);
-        },
-        &pair_ratios);
-    // Heap-over-scan speedup as the median of per-repeat paired ratios
-    // (scan_i / heap_i); > 1 means the heap won.  --check hard-gates this
-    // at k = 100 (see check_against_baseline).
-    std::sort(pair_ratios.begin(), pair_ratios.end());
-    heap.derived.emplace_back("win_margin_vs_scan",
-                              exact_quantile(pair_ratios, 0.5));
-    records.push_back(heap);
-    records.push_back(scan);
-    if (!same_positions(heap_pos, scan_pos)) {
-      std::fprintf(stderr,
-                   "EQUIVALENCE FAILURE fra.k%zu: heap and scan engines "
-                   "selected different deployments\n",
-                   k);
-      ++failures;
-    }
-    std::printf(
-        "fra k=%-5zu scans/iter: scan %.0f -> heap %.1f (%.0fx), "
-        "wall %.1f ms -> %.1f ms\n",
-        k, scan.derived[0].second, heap.derived[0].second,
-        ratio(scan.derived[0].second, heap.derived[0].second), scan.wall_ms,
-        heap.wall_ms);
+    const Record fra =
+        timed_repeat(fra_repeats, [&] { return run_fra(frame, k); });
+    records.push_back(fra);
+    std::printf("fra k=%-5zu scans/iter %.1f, wall %.1f ms\n", k,
+                *fra.derived_value("scans_per_iteration"), fra.wall_ms);
   }
 
-  // CMA: grid vs full per link model — same trajectories, same delivery
-  // counters, fewer transmit attempts.
   for (const std::size_t n : cma_ns) {
     for (const std::string model : {"disk", "distloss", "gilbert"}) {
-      std::vector<geo::Vec2> grid_pos, full_pos;
-      const Record grid = timed_repeat(repeats, [&] {
-        return run_cma(recorded, n, model, net::DeliveryMode::kGrid, slots,
-                       grid_pos);
-      });
-      records.push_back(grid);
-      const Record full = timed_repeat(repeats, [&] {
-        return run_cma(recorded, n, model, net::DeliveryMode::kFull, slots,
-                       full_pos);
-      });
-      records.push_back(full);
-      if (!same_positions(grid_pos, full_pos)) {
-        std::fprintf(stderr,
-                     "EQUIVALENCE FAILURE cma.n%zu.%s: grid and full "
-                     "delivery produced different trajectories\n",
-                     n, model.c_str());
-        ++failures;
-      }
-      for (const char* name : {"net.bus.deliveries",
-                               "net.bus.delivery_failures",
-                               "net.bus.messages_sent",
-                               "net.bus.drops_total",
-                               "net.bus.drop.dead_sender",
-                               "net.bus.drop.dead_receiver",
-                               "net.bus.drop.out_of_range",
-                               "net.bus.drop.link_loss_draw",
-                               "net.bus.drop.ttl_expired"}) {
-        if (grid.counter(name) != full.counter(name)) {
-          std::fprintf(stderr,
-                       "EQUIVALENCE FAILURE cma.n%zu.%s: %s differs "
-                       "(grid %llu vs full %llu)\n",
-                       n, model.c_str(), name,
-                       static_cast<unsigned long long>(grid.counter(name)),
-                       static_cast<unsigned long long>(full.counter(name)));
-          ++failures;
-        }
-      }
-      std::printf(
-          "cma n=%-5zu %-8s attempts/slot: full %.0f -> grid %.0f "
-          "(%.1fx), wall %.0f ms -> %.0f ms\n",
-          n, model.c_str(), full.derived[0].second, grid.derived[0].second,
-          ratio(full.derived[0].second, grid.derived[0].second),
-          full.wall_ms, grid.wall_ms);
+      const Record cma = timed_repeat(
+          repeats, [&] { return run_cma(recorded, n, model, slots); });
+      records.push_back(cma);
+      std::printf("cma n=%-5zu %-8s attempts/slot %.0f, wall %.0f ms\n", n,
+                  model.c_str(), *cma.derived_value("attempts_per_slot"),
+                  cma.wall_ms);
     }
   }
 
-  // Sharded CMA: the tile-sharded slot schedule against the unsharded
-  // grid-pruned seed path at production scale.  Interleaved pair sampling
-  // (the FRA win-margin protocol): speedup_vs_unsharded is the median of
-  // per-repeat paired ratios, so machine drift cancels pairwise.  The pair
-  // doubles as the bit-identity oracle — same trajectories, same delivery
-  // and drop-taxonomy counters, fewer transmit attempts.
   {
-    const std::size_t shard_n = quick ? 2000 : 10000;
-    const std::size_t shard_slots = quick ? 6 : 10;
-    const num::Rect region = shard_region(shard_n);
-    const auto env = shard_env(region);
-    std::vector<geo::Vec2> sharded_pos, unsharded_pos;
-    std::vector<double> pair_ratios;
-    auto [sharded, unsharded] = timed_repeat_pair(
-        repeats,
-        [&] {
-          return run_cma_sharded(env, region, shard_n, shard_slots,
-                                 /*sharded=*/true, sharded_pos);
-        },
-        [&] {
-          return run_cma_sharded(env, region, shard_n, shard_slots,
-                                 /*sharded=*/false, unsharded_pos);
-        },
-        &pair_ratios);
-    std::sort(pair_ratios.begin(), pair_ratios.end());
-    const double speedup = exact_quantile(pair_ratios, 0.5);
-    sharded.derived.emplace_back("speedup_vs_unsharded", speedup);
-    sharded.derived.emplace_back(
-        "attempt_reduction_vs_unsharded",
-        ratio(static_cast<double>(
-                  unsharded.counter("net.bus.transmit_attempts")),
-              static_cast<double>(
-                  sharded.counter("net.bus.transmit_attempts"))));
-    // The sharded schedule earns its keep or fails loudly: matching once
-    // per slot (reused by both rounds) and transmitting only in-range
-    // pairs must not lose to the per-message grid probe it bypasses.
-    if (speedup < 1.0) {
-      sharded.derived.emplace_back("shard_degraded", 1.0);
-      std::fprintf(stderr,
-                   "warning: %s shard degraded — speedup_vs_unsharded "
-                   "%.3f < 1.0\n",
-                   sharded.id.c_str(), speedup);
-    }
-    records.push_back(sharded);
-    records.push_back(unsharded);
-    if (!same_positions(sharded_pos, unsharded_pos)) {
-      std::fprintf(stderr,
-                   "EQUIVALENCE FAILURE cma.n%zu.disk.sharded: sharded and "
-                   "unsharded schedules produced different trajectories\n",
-                   shard_n);
-      ++failures;
-    }
-    for (const char* name : {"net.bus.deliveries",
-                             "net.bus.delivery_failures",
-                             "net.bus.messages_sent",
-                             "net.bus.drops_total",
-                             "net.bus.drop.dead_sender",
-                             "net.bus.drop.dead_receiver",
-                             "net.bus.drop.out_of_range",
-                             "net.bus.drop.link_loss_draw",
-                             "net.bus.drop.ttl_expired",
-                             "net.bus.beacon_delta_sent",
-                             "net.bus.beacon_full_sent",
-                             "net.bus.beacon_delta_hits",
-                             "net.bus.beacon_payload_entries"}) {
-      if (sharded.counter(name) != unsharded.counter(name)) {
-        std::fprintf(
-            stderr,
-            "EQUIVALENCE FAILURE cma.n%zu.disk.sharded: %s differs "
-            "(sharded %llu vs unsharded %llu)\n",
-            shard_n, name,
-            static_cast<unsigned long long>(sharded.counter(name)),
-            static_cast<unsigned long long>(unsharded.counter(name)));
-        ++failures;
-      }
-    }
-    std::printf(
-        "cma n=%-5zu sharded  attempts/slot: unsharded %.0f -> sharded "
-        "%.0f (%.1fx), speedup x%.2f, wall %.0f ms -> %.0f ms\n",
-        shard_n, unsharded.derived[0].second, sharded.derived[0].second,
-        ratio(unsharded.derived[0].second, sharded.derived[0].second),
-        speedup, unsharded.wall_ms, sharded.wall_ms);
+    const std::size_t n = quick ? 2000 : 10000;
+    const std::size_t density_slots = quick ? 6 : 10;
+    const num::Rect region = density_region(n);
+    const auto density_env = density_field(region);
+    const Record cma = timed_repeat(repeats, [&] {
+      return run_cma_density(density_env, region, n, density_slots);
+    });
+    records.push_back(cma);
+    std::printf("cma n=%-5zu density  attempts/slot %.0f, wall %.0f ms\n", n,
+                *cma.derived_value("attempts_per_slot"), cma.wall_ms);
   }
 
-  // Delta evaluation: one FRA deployment, both point-location engines,
-  // bit-identical deltas required.  Resolution 256 keeps the lattice big
-  // enough that the walk engine's per-point locates dominate.
+  // Delta evaluation of one FRA deployment.  Resolution 256 keeps the
+  // lattice big enough that per-point work dominates.
   {
-    core::FraPlanner planner;  // Heap engine, the default.
+    core::FraPlanner planner;
     const core::Deployment plan = planner.plan(
         frame, core::PlanRequest{bench::kRegion, 200, bench::kRc});
     const std::size_t res = 256;
-    double delta_walk = 0.0;
     double delta_raster = 0.0;
-    const Record walk = timed_repeat(repeats, [&] {
-      return run_delta_eval(frame, plan.positions, res,
-                            core::DeltaEngine::kWalk, delta_walk);
-    });
-    records.push_back(walk);
     const Record raster = timed_repeat(repeats, [&] {
-      return run_delta_eval(frame, plan.positions, res,
-                            core::DeltaEngine::kRaster, delta_raster);
+      return run_delta_eval(frame, plan.positions, res, delta_raster);
     });
     records.push_back(raster);
-    if (delta_walk != delta_raster) {
-      std::fprintf(stderr,
-                   "EQUIVALENCE FAILURE delta.res%zu: walk %.17g vs raster "
-                   "%.17g\n",
-                   res, delta_walk, delta_raster);
-      ++failures;
-    }
-    std::printf(
-        "delta res=%-4zu locates: walk %llu -> raster %llu (%.0fx), "
-        "wall %.1f ms -> %.1f ms\n",
-        res,
-        static_cast<unsigned long long>(
-            walk.counter("geometry.delaunay.locates")),
-        static_cast<unsigned long long>(
-            raster.counter("geometry.delaunay.locates")),
-        ratio(static_cast<double>(walk.counter("geometry.delaunay.locates")),
-              static_cast<double>(
-                  raster.counter("geometry.delaunay.locates"))),
-        walk.wall_ms, raster.wall_ms);
+    std::printf("delta res=%-4zu locates %llu, wall %.1f ms\n", res,
+                static_cast<unsigned long long>(
+                    raster.counter("geometry.delaunay.locates")),
+                raster.wall_ms);
 
     // Cavity-local tracker: the same plan with FraConfig::track_delta set
     // yields the same deployment, and its final tracked value must be
@@ -1487,17 +1254,10 @@ int main(int argc, char** argv) {
           [&] {
             return run_serial_mix(mix, t, serial_deltas, serial_plans);
           },
-          &pair_ratios);
+          pair_ratios);
       std::sort(pair_ratios.begin(), pair_ratios.end());
       const double speedup = exact_quantile(pair_ratios, 0.5);
       service.derived.emplace_back("speedup_vs_serial", speedup);
-      if (speedup < 1.0) {
-        service.derived.emplace_back("service_degraded", 1.0);
-        std::fprintf(stderr,
-                     "warning: %s service degraded — speedup_vs_serial "
-                     "%.3f < 1.0\n",
-                     service.id.c_str(), speedup);
-      }
       if (!service_ok) {
         std::fprintf(stderr,
                      "EQUIVALENCE FAILURE %s: one or more jobs reported "

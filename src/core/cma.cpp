@@ -46,53 +46,28 @@ CmaSimulation::CmaSimulation(const field::TimeVaryingField& environment,
   alive_.assign(positions_.size(), 1);
   alive_count_ = positions_.size();
   known_.resize(positions_.size());
-  prev_beacon_.resize(positions_.size());
-  beacon_cache_.resize(positions_.size());
-  if (config.sharding == ShardingMode::kTiles) {
-    const double ghost = config.ghost_width > 0.0
-                             ? config.ghost_width
-                             : std::max(config.rs, config.rc);
-    if (ghost < config.rc) {
-      throw std::invalid_argument(
-          "CmaSimulation: ghost_width below the communication radius");
-    }
-    const double side = config.tile_size > 0.0
-                            ? std::max(config.tile_size, ghost)
-                            : 2.0 * std::max(config.rs, config.rc);
-    shard_ = std::make_unique<ShardGrid>(region, side, ghost);
-  }
 }
 
 CmaSimulation::~CmaSimulation() = default;
 
 template <typename Body>
-void CmaSimulation::for_each_node(Body&& body, std::size_t grain) {
-  if (shard_) {
-    // One chunk per tile: the chunk layout depends only on the tiling,
-    // never the thread count, and every body is pure per-node — results
-    // are identical to the global map below.
-    par::parallel_for_chunks(
-        shard_->tile_count(),
-        [&](std::size_t t0, std::size_t t1) {
-          for (std::size_t t = t0; t < t1; ++t) {
-            for (const std::uint32_t id : shard_->owned(t)) {
-              body(static_cast<std::size_t>(id));
-            }
+void CmaSimulation::for_each_node(Body&& body) {
+  // One chunk per tile: the chunk layout depends only on the tiling,
+  // never the thread count, and every body is pure per-node.
+  par::parallel_for_chunks(
+      shard_->tile_count(),
+      [&](std::size_t t0, std::size_t t1) {
+        for (std::size_t t = t0; t < t1; ++t) {
+          for (const std::uint32_t id : shard_->owned(t)) {
+            body(static_cast<std::size_t>(id));
           }
-        },
-        /*grain=*/1);
-  } else {
-    par::parallel_for(positions_.size(), body, grain);
-  }
+        }
+      },
+      /*grain=*/1);
 }
 
 void CmaSimulation::deliver_round() {
-  if (shard_) {
-    bus_.step_matched(
-        [this](net::NodeId from) { return shard_->receivers_of(from); });
-  } else {
-    bus_.step();
-  }
+  bus_.step([this](net::NodeId from) { return shard_->receivers_of(from); });
 }
 
 void CmaSimulation::set_fault_schedule(net::FaultSchedule schedule) {
@@ -115,10 +90,6 @@ void CmaSimulation::apply_faults(std::size_t slot) {
       bus_.set_alive(i, false);
       known_[i].clear();
       last_forces_[i] = ForceBreakdown{};
-      // A dead radio forgets its beacon history: the first beacon after
-      // a revival is always a full one.
-      prev_beacon_[i].valid = false;
-      beacon_cache_[i].clear();
       CPS_COUNT("core.cma.node_deaths", 1);
     } else {
       if (alive_[i]) continue;
@@ -128,8 +99,6 @@ void CmaSimulation::apply_faults(std::size_t slot) {
       // A revived node rejoins with blank protocol state; neighbours
       // relearn it (and it them) from the next beacon round.
       known_[i].clear();
-      prev_beacon_[i].valid = false;
-      beacon_cache_[i].clear();
       CPS_COUNT("core.cma.node_revivals", 1);
     }
   }
@@ -140,13 +109,9 @@ std::vector<std::vector<NeighborInfo>> CmaSimulation::refresh_neighbor_tables(
     std::size_t slot) {
   const std::size_t n = positions_.size();
   std::vector<std::vector<NeighborInfo>> tables(n);
-  // Delta-compression accounting (Message::delta) runs only while the
-  // registry is armed: it feeds counters, never the trajectory.
-  const bool account = obs::enabled();
   const auto fold_node = [&](std::size_t i) {
     if (!alive_[i]) {
       known_[i].clear();
-      beacon_cache_[i].clear();
       return;
     }
     // Age out entries first (an entry from slot s is valid through slot
@@ -160,42 +125,8 @@ std::vector<std::vector<NeighborInfo>> CmaSimulation::refresh_neighbor_tables(
           return slot - k.last_seen >= config_.neighbor_ttl;
         });
     net::count_drops(net::DropReason::kTtlExpired, aged_out);
-    auto& cache = beacon_cache_[i];
-    if (account && !cache.empty()) {
-      // Entries that long lost beacon continuity can never hit again
-      // (hits need the stamp of the sender's *previous* beacon slot).
-      std::erase_if(cache, [&](const auto& e) {
-        return e.second + 8 <= slot;
-      });
-    }
     for (const auto& delivery : bus_.inbox(i)) {
       if (delivery.message.kind != Message::Kind::kBeacon) continue;
-      if (account) {
-        CPS_COUNT("net.bus.beacon_rx", 1);
-        std::size_t* stamp = nullptr;
-        for (auto& e : cache) {
-          if (e.first == delivery.from) {
-            stamp = &e.second;
-            break;
-          }
-        }
-        // A hit means this receiver already holds the state the delta
-        // refers to: the payload entry was redundant.  Misses (first
-        // contact, or the prev beacon was lost here) still need the
-        // carried state — the repair path that keeps the scheme safe
-        // under loss and death.
-        if (delivery.message.delta && stamp != nullptr &&
-            *stamp == delivery.message.prev_slot) {
-          CPS_COUNT("net.bus.beacon_delta_hits", 1);
-        } else {
-          CPS_COUNT("net.bus.beacon_payload_entries", 1);
-        }
-        if (stamp != nullptr) {
-          *stamp = slot;
-        } else {
-          cache.emplace_back(delivery.from, slot);
-        }
-      }
       const NeighborInfo info{delivery.message.position,
                               delivery.message.gaussian_abs};
       bool found = false;
@@ -214,11 +145,7 @@ std::vector<std::vector<NeighborInfo>> CmaSimulation::refresh_neighbor_tables(
     tables[i].reserve(table.size());
     for (const auto& k : table) tables[i].push_back(k.info);
   };
-  if (shard_) {
-    for_each_node(fold_node, 1);
-  } else {
-    for (std::size_t i = 0; i < n; ++i) fold_node(i);
-  }
+  for_each_node(fold_node);
   return tables;
 }
 
@@ -236,12 +163,20 @@ void CmaSimulation::step() {
   // --- 0. Fault injection: this slot's scheduled deaths/revivals. ---
   apply_faults(steps_run_);
 
-  // Sharded: retile after the faults so ownership and the radio matching
-  // see this slot's liveness; nodes that crossed a tile edge last slot
-  // migrate here.  One matching serves both bus rounds — positions are
-  // frozen within the slot.
-  if (shard_) {
+  // Retile after the faults so ownership and the radio matching see this
+  // slot's liveness; nodes that crossed a tile edge last slot migrate
+  // here.  One matching serves both bus rounds — positions are frozen
+  // within the slot.  The ghost ring must cover both the sensing disk and
+  // the installed link's radius, so the grid is rebuilt when
+  // set_link_model changed that radius.
+  {
     CPS_TIMER("core.cma.shard_prepare");
+    const double ghost = std::max(config_.rs, bus_.link().radius());
+    if (!shard_ || shard_->ghost() != ghost) {
+      const double side =
+          config_.tile_size > 0.0 ? config_.tile_size : 2.0 * ghost;
+      shard_ = std::make_unique<ShardGrid>(region_, side, ghost);
+    }
     shard_->prepare(positions_, alive_, bus_.link());
   }
 
@@ -252,8 +187,7 @@ void CmaSimulation::step() {
   {
     CPS_TIMER("core.cma.sense");
     // Each node's patch fit reads only the (const-thread-safe) field and
-    // writes only its own slots, so Sense(Rs) is a parallel map.  A patch
-    // fit is ~100 field samples plus a least-squares solve: grain 1.
+    // writes only its own slots, so Sense(Rs) is a parallel map.
     for_each_node(
         [&](std::size_t i) {
           if (!alive_[i]) return;  // Dead sensors sense nothing.
@@ -267,8 +201,7 @@ void CmaSimulation::step() {
             clamp_to_region(pos);  // Never steer a node through the fence.
             peaks[i] = PeakInfo{pos, peak->gaussian_abs};
           }
-        },
-        /*grain=*/1);
+        });
   }
 
   // Trace sampling (Section 7 future work): log this slot's measurement
@@ -288,7 +221,7 @@ void CmaSimulation::step() {
 
   // --- 2. Beacon round (Table 2 lines 4-5). ---
   // Neighbour tables come from what the channel actually delivered, aged
-  // by the staleness TTL — never from the bus's oracle topology — so a
+  // by the staleness TTL — never from the true geometry — so a
   // lost beacon or a dead neighbour degrades knowledge instead of state.
   std::vector<std::vector<NeighborInfo>> tables;
   {
@@ -299,22 +232,6 @@ void CmaSimulation::step() {
       beacon.kind = Message::Kind::kBeacon;
       beacon.position = positions_[i];
       beacon.gaussian_abs = gaussian_abs[i];
-      // Delta-compression flag: unchanged state since the previous
-      // beacon.  The state is still carried (accounting only, see
-      // Message::delta), so the scheme is mode- and loss-safe by
-      // construction; bitwise equality keeps the flag deterministic.
-      const BeaconEcho& prev = prev_beacon_[i];
-      beacon.delta = prev.valid && prev.position.x == positions_[i].x &&
-                     prev.position.y == positions_[i].y &&
-                     prev.gaussian_abs == gaussian_abs[i];
-      beacon.prev_slot = prev.slot;
-      if (beacon.delta) {
-        CPS_COUNT("net.bus.beacon_delta_sent", 1);
-      } else {
-        CPS_COUNT("net.bus.beacon_full_sent", 1);
-      }
-      prev_beacon_[i] =
-          BeaconEcho{positions_[i], gaussian_abs[i], steps_run_, true};
       bus_.broadcast(i, std::move(beacon));
     }
     deliver_round();
@@ -352,8 +269,7 @@ void CmaSimulation::step() {
               std::min(config_.rs, magnitude * config_.force_gain);
           destination[i] = positions_[i] + forces.fs.normalized() * reach;
           clamp_to_region(destination[i]);
-        },
-        /*grain=*/16);
+        });
   }
 
   // --- 4. tell round + LCM (Table 2 lines 17-21, Fig. 4). ---
@@ -405,48 +321,27 @@ void CmaSimulation::step() {
   last_max_move_ = 0.0;
   {
     CPS_TIMER("core.cma.move");
-    // The per-node displacement is pure; the accumulators (max move, the
-    // distance sums) are order-sensitive floats, so the sharded schedule
-    // computes displacements tile-parallel and folds them serially in
-    // node-id order — the exact association of the loop below.
-    const auto resolve_next = [&](std::size_t i) {
+    // The per-node displacement is pure and computed tile-parallel; the
+    // accumulators (max move, the distance sums) are order-sensitive
+    // floats, so they fold serially in node-id order.
+    std::vector<geo::Vec2> next(n);
+    std::vector<double> moved(n, 0.0);
+    for_each_node([&](std::size_t i) {
+      if (!alive_[i]) return;
       const geo::Vec2 leg = final_target[i] - positions_[i];
       const double len = leg.norm();
-      geo::Vec2 next = len <= max_step
-                           ? final_target[i]
-                           : positions_[i] + leg * (max_step / len);
-      clamp_to_region(next);
-      return next;
-    };
-    if (shard_) {
-      std::vector<geo::Vec2> next(n);
-      std::vector<double> moved(n, 0.0);
-      for_each_node(
-          [&](std::size_t i) {
-            if (!alive_[i]) return;
-            next[i] = resolve_next(i);
-            moved[i] = geo::distance(positions_[i], next[i]);
-          },
-          /*grain=*/64);
-      for (std::size_t i = 0; i < n; ++i) {
-        if (!alive_[i]) continue;  // Carcasses stay where they fell.
-        last_max_move_ = std::max(last_max_move_, moved[i]);
-        distance_traveled_[i] += moved[i];
-        total_distance_ += moved[i];
-        positions_[i] = next[i];
-        bus_.set_position(i, positions_[i]);
-      }
-    } else {
-      for (std::size_t i = 0; i < n; ++i) {
-        if (!alive_[i]) continue;  // Carcasses stay where they fell.
-        const geo::Vec2 next = resolve_next(i);
-        const double moved = geo::distance(positions_[i], next);
-        last_max_move_ = std::max(last_max_move_, moved);
-        distance_traveled_[i] += moved;
-        total_distance_ += moved;
-        positions_[i] = next;
-        bus_.set_position(i, positions_[i]);
-      }
+      next[i] = len <= max_step ? final_target[i]
+                                : positions_[i] + leg * (max_step / len);
+      clamp_to_region(next[i]);
+      moved[i] = geo::distance(positions_[i], next[i]);
+    });
+    for (std::size_t i = 0; i < n; ++i) {
+      if (!alive_[i]) continue;  // Carcasses stay where they fell.
+      last_max_move_ = std::max(last_max_move_, moved[i]);
+      distance_traveled_[i] += moved[i];
+      total_distance_ += moved[i];
+      positions_[i] = next[i];
+      bus_.set_position(i, positions_[i]);
     }
   }
 
@@ -477,19 +372,9 @@ void CmaSimulation::step() {
 template <typename NodeTarget>
 void CmaSimulation::resolve_lcm_targets(NodeTarget&& node_target,
                                         std::vector<geo::Vec2>& final_target) {
-  const std::size_t n = positions_.size();
-  if (!shard_) {
-    for (std::size_t i = 0; i < n; ++i) {
-      if (const auto target = node_target(i)) {
-        ++last_chases_;
-        final_target[i] = *target;
-      }
-    }
-    return;
-  }
-  // Tile-parallel: node_target is pure and final_target writes are
-  // per-index.  Chases are tallied per tile and folded in ascending tile
-  // order — an integer sum, so the count matches the serial loop exactly.
+  // node_target is pure and final_target writes are per-index.  Chases
+  // are tallied per tile and folded in ascending tile order — an integer
+  // sum, so the count is independent of the thread count.
   std::vector<std::size_t> chases(shard_->tile_count(), 0);
   par::parallel_for_chunks(
       shard_->tile_count(),
@@ -529,8 +414,7 @@ void CmaSimulation::apply_strict_lcm(
   };
   static const std::vector<NeighborInfo> kEmptyTable;
   // Pure per-node resolution: the clamped override target, or nullopt
-  // when unconstrained.  Shared by the serial and tile-parallel
-  // schedules below.
+  // when unconstrained.
   const auto node_target = [&](std::size_t i) -> std::optional<geo::Vec2> {
     if (!alive_[i]) return std::nullopt;
     std::vector<Anchor> anchors;

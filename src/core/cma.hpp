@@ -59,21 +59,6 @@ enum class LcmMode {
   kOff,
 };
 
-/// How step() schedules the slot's work over the region.
-enum class ShardingMode {
-  /// The seed path, compiled in as the equivalence oracle (the
-  /// selection_engine / DeltaEngine precedent): global parallel maps per
-  /// phase, bus delivery via MessageBus::step().
-  kOff,
-  /// Spatial sharding (cma_sharding.hpp): tiles of side >= max(Rs, Rc)
-  /// own their nodes plus a ghost ring; each tile runs
-  /// sense/beacon-fold/force/LCM/move locally on the thread pool and the
-  /// bus delivers over the tiles' precomputed in-range matches
-  /// (step_matched).  Bit-identical to kOff — positions, inbox order,
-  /// drop taxonomy — at every thread count.
-  kTiles,
-};
-
 /// CMA parameters (defaults = the paper's simulation setting).
 struct CmaConfig {
   double rc = 10.0;            ///< Communication radius, metres.
@@ -118,14 +103,11 @@ struct CmaConfig {
   /// after the TTL lapses: the graceful-degradation knob.  Must be >= 1.
   std::size_t neighbor_ttl = 1;
   std::uint64_t seed = 7;      ///< Radio-loss randomness only.
-  /// Slot scheduling strategy (see ShardingMode).  kTiles requires the
-  /// link radius to stay within the ghost-ring width.
-  ShardingMode sharding = ShardingMode::kOff;
-  /// Requested tile side, metres; <= 0 picks 2 * max(rs, rc).  Clamped up
-  /// to the ghost width (the 3x3 coverage requirement).
+  /// Tile side of the slot schedule (cma_sharding.hpp), metres; <= 0
+  /// picks twice the ghost width.  Clamped up to the ghost width
+  /// max(rs, link radius).  A pure performance knob: every tiling gives
+  /// bit-identical results.
   double tile_size = 0.0;
-  /// Ghost-ring width, metres; <= 0 picks max(rs, rc).  Must be >= rc.
-  double ghost_width = 0.0;
 };
 
 /// Slot-synchronous simulation of k mobile nodes running CMA.
@@ -151,13 +133,6 @@ class CmaSimulation {
   /// first step() for a fully reproducible run.
   void set_link_model(std::unique_ptr<net::LinkModel> link) {
     bus_.set_link(std::move(link));
-  }
-
-  /// Selects the bus's receiver-enumeration strategy (delivery is
-  /// bit-identical either way; kFull is the equivalence oracle, kGrid the
-  /// default O(N * avg_degree) path — see net::DeliveryMode).
-  void set_delivery_mode(net::DeliveryMode mode) noexcept {
-    bus_.set_delivery_mode(mode);
   }
 
   /// Advances one slot (dt minutes).
@@ -261,11 +236,9 @@ class CmaSimulation {
     return bus_.total_broadcasts();
   }
 
-  /// True when the slot loop runs the tile-sharded schedule.
-  bool sharded() const noexcept { return shard_ != nullptr; }
-
-  /// The tile decomposition (null unless sharded) — read-only stats for
-  /// tests and benches (tile_count, last_migrations, ...).
+  /// The tile decomposition of the last step() (null before the first)
+  /// — read-only stats for tests and benches (tile_count,
+  /// last_migrations, ...).
   const ShardGrid* shard() const noexcept { return shard_.get(); }
 
  private:
@@ -279,14 +252,6 @@ class CmaSimulation {
     /// copy per broadcast instead of one per delivery — the dominant
     /// allocation churn of the bus at production degree.
     std::shared_ptr<const std::vector<NeighborInfo>> table;
-    /// Beacon: (position, gaussian_abs) are unchanged since the sender's
-    /// previous beacon, sent in slot prev_slot.  Delta-compression
-    /// accounting only — the state is still carried, so trajectories are
-    /// unaffected; a receiver whose decompression cache holds the
-    /// prev_slot beacon would not have needed the payload entry (counted
-    /// as net.bus.beacon_delta_hits vs beacon_payload_entries).
-    bool delta = false;
-    std::size_t prev_slot = 0;
   };
 
   void clamp_to_region(geo::Vec2& p) const noexcept;
@@ -302,9 +267,8 @@ class CmaSimulation {
                        std::vector<geo::Vec2>& final_target);
 
   /// Applies a pure per-node LCM resolution (node_target(i) -> clamped
-  /// override target or nullopt) to final_target and counts the chases:
-  /// serially in id order when unsharded, tile-parallel with a
-  /// deterministic per-tile chase fold when sharded.
+  /// override target or nullopt) to final_target tile-parallel, and
+  /// counts the chases with a deterministic per-tile fold.
   template <typename NodeTarget>
   void resolve_lcm_targets(NodeTarget&& node_target,
                            std::vector<geo::Vec2>& final_target);
@@ -330,23 +294,14 @@ class CmaSimulation {
   std::vector<std::vector<NeighborInfo>> refresh_neighbor_tables(
       std::size_t slot);
 
-  /// Delivers the queued bus round: step_matched over the tile matching
-  /// when sharded, plain step() otherwise.
+  /// Delivers the queued bus round over the tile matching.
   void deliver_round();
 
-  /// Runs body(i) for every node: a global parallel map when unsharded,
-  /// a tile-parallel sweep over owned nodes when sharded.  Bodies must be
-  /// pure per-node (disjoint writes, atomic counters only).
+  /// Runs body(i) for every node as a tile-parallel sweep over owned
+  /// nodes.  Bodies must be pure per-node (disjoint writes, atomic
+  /// counters only).
   template <typename Body>
-  void for_each_node(Body&& body, std::size_t grain);
-
-  /// Last beacon each node sent, for the delta-compression flag.
-  struct BeaconEcho {
-    geo::Vec2 position;
-    double gaussian_abs = 0.0;
-    std::size_t slot = 0;
-    bool valid = false;
-  };
+  void for_each_node(Body&& body);
 
   const field::TimeVaryingField* environment_;
   num::Rect region_;
@@ -366,14 +321,9 @@ class CmaSimulation {
   std::size_t alive_count_ = 0;
   std::size_t deaths_applied_ = 0;
   std::vector<std::vector<KnownNeighbor>> known_;
-  /// Tile decomposition; non-null iff config.sharding == kTiles.
+  /// Tile decomposition; rebuilt when the ghost width max(rs, link
+  /// radius) changes (set_link_model).
   std::unique_ptr<ShardGrid> shard_;
-  std::vector<BeaconEcho> prev_beacon_;
-  /// Per-receiver link-layer decompression cache: (sender, slot its last
-  /// beacon arrived in).  Accounting only (see Message::delta); pruned of
-  /// stale entries as beacons fold in.
-  std::vector<std::vector<std::pair<net::NodeId, std::size_t>>>
-      beacon_cache_;
 };
 
 }  // namespace cps::core

@@ -25,15 +25,15 @@ double rect_distance_sq(geo::Vec2 p, const num::Rect& r) noexcept {
 }  // namespace
 
 ShardGrid::ShardGrid(const num::Rect& region, double tile_size,
-                     double ghost_width)
-    : region_(region), ghost_(ghost_width) {
-  if (!(tile_size > 0.0) || !(ghost_width > 0.0)) {
-    throw std::invalid_argument("ShardGrid: tile_size and ghost_width > 0");
+                     double ghost)
+    : region_(region), ghost_(ghost) {
+  if (!(tile_size > 0.0) || !(ghost > 0.0)) {
+    throw std::invalid_argument("ShardGrid: tile_size and ghost > 0");
   }
   // The 3x3 ghost coverage argument needs side >= ghost: anything within
   // ghost of a tile rectangle then lies in the tile or a direct
   // neighbour.
-  const double side = std::max(tile_size, ghost_width);
+  const double side = std::max(tile_size, ghost);
   const double w = region.x1 - region.x0;
   const double h = region.y1 - region.y0;
   cols_ = std::max<std::size_t>(

@@ -1,16 +1,17 @@
-// Spatial sharding of the CMA slot loop (tiles + ghost rings).
+// The CMA slot schedule: tiles + ghost rings.
 //
 // Every CMA interaction is limited-range: sensing reads a disk of radius
 // Rs, the radio reaches Rc.  ShardGrid exploits that locality the way the
 // distributed coverage literature does (Cortés–Martínez–Bullo; the
 // region-representation deployments of arXiv 0911.1379): the region is
-// partitioned into tiles of side >= max(Rs, Rc); a tile *owns* the nodes
-// whose positions fall inside it and additionally sees a *ghost ring* —
-// the neighbouring tiles' nodes within `ghost_width` of its rectangle.
-// Since ghost_width >= Rc and the tile side >= ghost_width, every radio
-// interaction of an owned node is covered by the tile's own nodes plus
-// its 3x3 neighbourhood's ghosts: tiles never need state from further
-// away, which is what makes the per-tile work embarrassingly parallel.
+// partitioned into tiles of side >= the ghost width g = max(Rs, link
+// radius); a tile *owns* the nodes whose positions fall inside it and
+// additionally sees a *ghost ring* — the neighbouring tiles' nodes within
+// g of its rectangle.  Since g >= the link radius and the tile side >= g,
+// every radio interaction of an owned node is covered by the tile's own
+// nodes plus its 3x3 neighbourhood's ghosts: tiles never need state from
+// further away, which is what makes the per-tile work embarrassingly
+// parallel.
 //
 // Per slot, prepare() (a) reassigns ownership from the current positions
 // — a node that crossed a tile edge simply lands in its new tile
@@ -23,14 +24,14 @@
 // bus rounds (beacon and tell) — positions are frozen within a slot.
 //
 // Determinism: ownership is a pure function of position (ties on tile
-// edges break toward the lower-index tile via floor + clamp); owned lists
-// are built by a counting sort over ascending node ids; candidate lists
-// are sorted into ascending id order before matching; and per-tile
+// edges break toward the higher-index tile via floor + clamp); owned
+// lists are built by a counting sort over ascending node ids; candidate
+// lists are sorted into ascending id order before matching; and per-tile
 // results are folded in ascending tile order.  The per-sender receiver
-// lists are therefore independent of the thread count and — fed through
-// MessageBus::step_matched, which commits them serially in broadcast
-// order — reproduce the unsharded delivery bit-for-bit (see the
-// matched-delivery contract in net/link_model.hpp).
+// lists are therefore independent of the thread count and of the tile
+// size — fed through MessageBus::step, which commits them serially in
+// broadcast order, every tiling gives the same deliveries as an
+// all-pairs probe (the no-draw contract in net/link_model.hpp).
 #pragma once
 
 #include <cstdint>
@@ -47,11 +48,11 @@ namespace cps::core {
 
 class ShardGrid {
  public:
-  /// Tiles `region` with sides >= max(tile_size, ghost_width) (both > 0,
+  /// Tiles `region` with sides >= max(tile_size, ghost) (both > 0,
   /// std::invalid_argument otherwise).  The actual side stretches so an
-  /// integral number of tiles covers the region exactly; ghost_width must
-  /// be >= the link radius used at prepare() time.
-  ShardGrid(const num::Rect& region, double tile_size, double ghost_width);
+  /// integral number of tiles covers the region exactly; `ghost` must be
+  /// >= the link radius used at prepare() time.
+  ShardGrid(const num::Rect& region, double tile_size, double ghost);
 
   /// Rebuilds ownership (counting migrations) and the per-sender receiver
   /// lists for this slot's positions/liveness.  Tile matching runs on the
@@ -62,9 +63,9 @@ class ShardGrid {
                std::span<const char> alive, const net::LinkModel& link);
 
   /// Living in-range receivers (ascending ids, self excluded) of the last
-  /// prepare()'s matching for sender `from` — the exact set and order the
-  /// unsharded bus would have delivered-or-lost to.  Valid until the next
-  /// prepare().
+  /// prepare()'s matching for sender `from` — the exact set and order an
+  /// all-pairs probe would have delivered-or-lost to.  Valid until the
+  /// next prepare().
   std::span<const net::NodeId> receivers_of(net::NodeId from) const {
     const Tile& tile = tiles_[node_tile_[from]];
     return {tile.pairs.data() + recv_start_[from], recv_count_[from]};
@@ -73,7 +74,7 @@ class ShardGrid {
   std::size_t tile_count() const noexcept { return tiles_.size(); }
   std::size_t cols() const noexcept { return cols_; }
   std::size_t rows() const noexcept { return rows_; }
-  double ghost_width() const noexcept { return ghost_; }
+  double ghost() const noexcept { return ghost_; }
 
   /// Node ids owned by `tile` after the last prepare(), ascending.  The
   /// per-tile compute phases iterate these; dead nodes are included

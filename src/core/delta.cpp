@@ -1,7 +1,6 @@
 #include "core/delta.hpp"
 
 #include "core/delta_detail.hpp"
-#include "core/delta_incremental.hpp"
 
 #include <algorithm>
 #include <atomic>
@@ -22,9 +21,9 @@
 namespace cps::core {
 namespace {
 
-// Row-sweep reduction used by both point-location engines.  While the
-// telemetry timeline is armed the chunk layout is pinned at every thread
-// count (parallel_reduce_chunked) so the annotated δ, the walk-hint
+// Row-sweep reduction of the raster sweep.  While the telemetry timeline
+// is armed the chunk layout is pinned at every thread count
+// (parallel_reduce_chunked) so the annotated δ, the fallback-locate
 // counters, and therefore the timeline JSONL are bit-identical across
 // --threads values; disarmed runs keep parallel_reduce's serial shortcut,
 // bit-identical to the original serial evaluation.
@@ -37,13 +36,6 @@ double reduce_rows(std::size_t n, Map&& map) {
   }
   return par::parallel_reduce(n, 0.0, std::forward<Map>(map), combine,
                               /*grain=*/4);
-}
-
-double interpolate_in(const geo::Delaunay& dt, int tri, geo::Vec2 p) {
-  const auto& t = dt.triangle(tri);
-  return geo::interpolate_linear(dt.triangle_geometry(tri),
-                                 dt.vertex(t.v[0]).z, dt.vertex(t.v[1]).z,
-                                 dt.vertex(t.v[2]).z, p);
 }
 
 // RowSpan, TriangleSoA, strictly_inside, and the span-emission guard
@@ -116,7 +108,6 @@ DeltaMetric& DeltaMetric::operator=(DeltaMetric&&) noexcept = default;
 DeltaMetric::DeltaMetric(const DeltaMetric& other)
     : region_(other.region_),
       resolution_(other.resolution_),
-      engine_(other.engine_),
       cache_(std::make_unique<RefCache>(other.cache_->shards.size())) {
   cache_->capacity = other.cache_->capacity;
 }
@@ -125,7 +116,6 @@ DeltaMetric& DeltaMetric::operator=(const DeltaMetric& other) {
   if (this == &other) return *this;
   region_ = other.region_;
   resolution_ = other.resolution_;
-  engine_ = other.engine_;
   cache_ = std::make_unique<RefCache>(other.cache_->shards.size());
   cache_->capacity = other.cache_->capacity;
   return *this;
@@ -219,22 +209,10 @@ DeltaMetric::cached_reference_lattice(const field::Field& reference,
 double DeltaMetric::delta(const field::Field& reference,
                           const geo::Delaunay& dt) const {
   const num::MidpointLattice lat(region_, resolution_, resolution_);
-  double value;
-  if (engine_ == DeltaEngine::kIncremental) {
-    // A stateless call has no event stream to consume: build the tracker
-    // from scratch against this triangulation and read its running total.
-    // This keeps the engine enum total (sweeps can select kIncremental
-    // uniformly) and doubles as the from-scratch oracle entry point; the
-    // savings come from holding an IncrementalDelta across events instead.
-    value = IncrementalDelta(*this, reference, dt).value();
-  } else {
-    const auto cached = cached_reference_lattice(reference, lat);
-    const double* ref_lattice = cached ? cached->data() : nullptr;
-    const double sum = engine_ == DeltaEngine::kRaster
-                           ? delta_raster(reference, dt, lat, ref_lattice)
-                           : delta_walk(reference, dt, lat, ref_lattice);
-    value = sum * lat.hx() * lat.hy();
-  }
+  const auto cached = cached_reference_lattice(reference, lat);
+  const double value =
+      delta_raster(reference, dt, lat, cached ? cached->data() : nullptr) *
+      lat.hx() * lat.hy();
   // δ-evaluation boundary for the telemetry timeline: the figure drivers
   // sample δ sparsely (every few slots), so each evaluation gets its own
   // sample carrying the value; counters between two evaluations attribute
@@ -250,44 +228,6 @@ double DeltaMetric::delta(const field::Field& reference,
   return value;
 }
 
-double DeltaMetric::delta_walk(const field::Field& reference,
-                               const geo::Delaunay& dt,
-                               const num::MidpointLattice& lat,
-                               const double* ref_lattice) const {
-  // Row sweep with a remembering walk: consecutive point locations walk
-  // from the previous cell's triangle, making each walk O(1) on coherent
-  // rows.  Each chunk threads its own hint and partial sums combine in
-  // ascending chunk order, so any thread count reproduces the same bits.
-  // The reference field is sampled one batched row at a time (or read from
-  // the memoized lattice — same bits either way).
-  const std::span<const double> xs = lat.xs();
-  return reduce_rows(
-      resolution_,
-      [&](std::size_t row_begin, std::size_t row_end) {
-        double s = 0.0;
-        int hint = -1;
-        std::vector<double> row_buf;
-        if (ref_lattice == nullptr) row_buf.resize(resolution_);
-        for (std::size_t j = row_begin; j < row_end; ++j) {
-          const double y = lat.y(j);
-          const double* ref;
-          if (ref_lattice != nullptr) {
-            ref = ref_lattice + j * resolution_;
-          } else {
-            reference.value_row(y, xs, row_buf.data());
-            CPS_COUNT("core.delta.batch_rows", 1);
-            ref = row_buf.data();
-          }
-          for (std::size_t i = 0; i < resolution_; ++i) {
-            const geo::Vec2 p{xs[i], y};
-            hint = dt.locate_from(p, hint);
-            s += std::abs(ref[i] - interpolate_in(dt, hint, p));
-          }
-        }
-        return s;
-      });
-}
-
 double DeltaMetric::delta_raster(const field::Field& reference,
                                  const geo::Delaunay& dt,
                                  const num::MidpointLattice& lat,
@@ -297,9 +237,10 @@ double DeltaMetric::delta_raster(const field::Field& reference,
   // sweep each row assigning strictly-interior points from the span
   // candidates.  Points on an edge or vertex — where closed containment is
   // ambiguous and locate_from's answer is hint-dependent — fall back to
-  // locate_from seeded with exactly the hint the walk engine would carry
-  // at that point (fast assignments equal the walk result, so the hint
-  // chain replays bit-for-bit), keeping assignments identical to kWalk.
+  // locate_from seeded with exactly the hint a per-point remembering walk
+  // would carry at that point (fast assignments equal the walk result, so
+  // the hint chain replays bit-for-bit), keeping assignments identical to
+  // locating every point with that walk.
   const std::span<const double> xs = lat.xs();
   const auto res = static_cast<long>(resolution_);
   const std::vector<int> alive = dt.alive_triangles();

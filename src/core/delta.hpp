@@ -18,28 +18,20 @@
 
 namespace cps::core {
 
-/// How delta() assigns evaluation-lattice points to triangles.
-///
-/// kRaster (default) scan-converts each alive triangle into lattice-row
-/// spans once, assigns strictly-interior points directly from the span
-/// candidates, and falls back to the remembering walk — seeded with the
-/// exact hint the walk engine would have at that point — for points on
-/// edges or vertices.  A strictly interior point has a unique containing
-/// triangle and locate_from returns closed containment for any hint, so
-/// assignments (and the accumulated delta) are bit-identical to kWalk.
-/// kWalk runs locate_from on every lattice point and stays compiled in as
-/// the equivalence oracle, mirroring FraConfig::selection_engine.
-///
-/// kIncremental evaluates through core/delta_incremental.hpp's stateful
-/// tracker: delta() builds the tracker from scratch (bit-identical to
-/// kRaster by the oracle protocol, DESIGN.md §13); the O(changed area)
-/// savings come from holding an IncrementalDelta across triangulation
-/// events — FRA's refinement loop and CMA's per-slot trajectory do.
-enum class DeltaEngine { kWalk, kRaster, kIncremental };
-
 /// Evaluates delta by midpoint quadrature on a fixed evaluation grid.
 /// The paper evaluates on the sqrt(A) x sqrt(A) lattice (100 x 100 for the
 /// GreenOrbs window); `resolution` is that lattice density per axis.
+///
+/// delta() assigns lattice points to triangles by rasterisation: each
+/// alive triangle is scan-converted into lattice-row spans once, strictly
+/// interior points are assigned directly from the span candidates, and
+/// points on an edge or vertex fall back to locate_from seeded with the
+/// hint a per-point remembering walk would carry at that point.  A
+/// strictly interior point has a unique containing triangle, so the sum
+/// is bit-identical to locating every point with that walk — the
+/// reference tests/test_delta_equivalence.cpp compares against.  Holding
+/// an IncrementalDelta (delta_incremental.hpp) across triangulation
+/// events gives the same bits at O(changed area) per event.
 class DeltaMetric {
  public:
   /// Reference-lattice LRU entries held by default; one entry is
@@ -51,7 +43,7 @@ class DeltaMetric {
   ~DeltaMetric();
 
   /// Copies share nothing: the copy starts with the same configuration
-  /// (engine, cache capacity) but an empty reference cache.
+  /// (cache capacity and shards) but an empty reference cache.
   DeltaMetric(const DeltaMetric& other);
   DeltaMetric& operator=(const DeltaMetric& other);
   DeltaMetric(DeltaMetric&&) noexcept;
@@ -59,9 +51,6 @@ class DeltaMetric {
 
   const num::Rect& region() const noexcept { return region_; }
   std::size_t resolution() const noexcept { return resolution_; }
-
-  DeltaEngine engine() const noexcept { return engine_; }
-  void set_engine(DeltaEngine engine) noexcept { engine_ = engine; }
 
   /// Memoization of the reference field's midpoint lattice, keyed by the
   /// field's content_key(): sweeps that evaluate many deployments against
@@ -131,9 +120,6 @@ class DeltaMetric {
  private:
   struct RefCache;
 
-  double delta_walk(const field::Field& reference, const geo::Delaunay& dt,
-                    const num::MidpointLattice& lat,
-                    const double* ref_lattice) const;
   double delta_raster(const field::Field& reference, const geo::Delaunay& dt,
                       const num::MidpointLattice& lat,
                       const double* ref_lattice) const;
@@ -145,7 +131,6 @@ class DeltaMetric {
 
   num::Rect region_;
   std::size_t resolution_;
-  DeltaEngine engine_ = DeltaEngine::kRaster;
   std::unique_ptr<RefCache> cache_;
 };
 

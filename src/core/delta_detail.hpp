@@ -1,10 +1,10 @@
-// Shared scan-conversion machinery for the δ engines (core/delta.cpp and
-// core/delta_incremental.cpp).
+// Shared scan-conversion machinery of the raster δ sweep (core/delta.cpp)
+// and its cavity-local tracker (core/delta_incremental.cpp).
 //
-// kRaster and kIncremental must assign lattice points to triangles — and
-// interpolate them — through the *same* arithmetic, or their sums drift by
-// a bit and the oracle protocol (incremental ≡ fresh raster ≡ walk,
-// bitwise) collapses.  Everything here is therefore exactly the code the
+// Both must assign lattice points to triangles — and interpolate them —
+// through the *same* arithmetic, or their sums drift by a bit and the
+// oracle protocol (incremental ≡ fresh raster ≡ per-point walk, bitwise)
+// collapses.  Everything here is therefore exactly the code the
 // raster engine ran before the split: the SoA mirror copies coordinates
 // verbatim, the guard-range formulas keep their float expressions
 // unreordered, and the interpolation helper replays interpolate_linear's

@@ -1,4 +1,4 @@
-// Cavity-local incremental δ (DeltaEngine::kIncremental's engine).
+// Cavity-local incremental δ.
 //
 // The δ metric re-evaluated from scratch is an O(res²) lattice sweep, but
 // a Bowyer–Watson event already reports exactly which triangles changed —
@@ -11,7 +11,8 @@
 //
 // Oracle protocol (DESIGN.md §13): after every applied event, value() is
 // bit-identical to a fresh DeltaMetric::delta() of the same triangulation
-// (kRaster, and therefore kWalk).  That holds because
+// (and therefore to locating every point with a remembering walk).  That
+// holds because
 //  * assignments are re-derived through the raster's own rules — a stored
 //    strict assignment is kept only while its triangle is alive and still
 //    strictly contains the point (strict containment is unique and

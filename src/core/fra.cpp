@@ -38,16 +38,17 @@ struct Candidate {
 constexpr double kUsedScore = -1.0;
 
 /// Indexed max-heap over candidate indices, keyed by an externally owned
-/// live-score array, ordered (score desc, index asc) — the scan oracle's
-/// argmax tie-break.  Unlike the PR 4 lazy-deletion heap there is at most
-/// ONE entry per candidate (`pos_` tracks its slot), so a rebucket rescore
-/// is a decrease/increase-key sift instead of a duplicate push, and pops
-/// are never stale.  The planner pairs this with storm compaction: when a
-/// rebucket displaces a large fraction of the lattice (the early
-/// iterations, whose cavities cover most candidates), per-entry sifts
-/// would cost more than starting over, so the heap is invalidated
-/// wholesale, selections fall back to a flat argmax over the score array,
-/// and one Floyd build restores the heap once cavities shrink.
+/// live-score array, ordered (score desc, index asc) — the greedy
+/// argmax's first-maximum tie-break.  Unlike a lazy-deletion heap there
+/// is at most ONE entry per candidate (`pos_` tracks its slot), so a
+/// rebucket rescore is a decrease/increase-key sift instead of a
+/// duplicate push, and pops are never stale.  The planner pairs this with
+/// storm compaction: when a rebucket displaces a large fraction of the
+/// lattice (the early iterations, whose cavities cover most candidates),
+/// per-entry sifts would cost more than starting over, so the heap is
+/// invalidated wholesale, selections fall back to a flat argmax over the
+/// score array, and one Floyd build restores the heap once cavities
+/// shrink.
 class IndexedSelectionHeap {
  public:
   static constexpr std::uint32_t kAbsent = 0xffffffffu;
@@ -133,7 +134,7 @@ class IndexedSelectionHeap {
   };
 
   /// Strict-weak "a selects before b": higher score first, lower index on
-  /// ties — exactly the serial scan's first-maximum rule.
+  /// ties — exactly a serial scan's first-maximum rule.
   static bool better(const Entry& a, const Entry& b) noexcept {
     if (a.score != b.score) return a.score > b.score;
     return a.idx < b.idx;
@@ -376,7 +377,7 @@ FraResult FraPlanner::plan_detailed(const field::Field& reference,
     return 0.0;
   };
 
-  // Heap engine state (see SelectionEngine): at most one entry per unused
+  // Heap state (see fra.hpp): at most one entry per unused
   // candidate, kept ordered by decrease/increase-key sifts on rescoring
   // rebuckets, with storm compaction when a cavity displaces too much of
   // the lattice for per-entry sifts to pay.  `heap_scores` / `heap_used`
@@ -385,9 +386,7 @@ FraResult FraPlanner::plan_detailed(const field::Field& reference,
   // Candidate records.  Curvature scores never change after the initial
   // pass, so kCurvature neither rescores nor storms — its heap is built
   // once and stays valid.
-  const bool use_heap =
-      config_.selection_engine == SelectionEngine::kHeap &&
-      config_.measure != SelectionMeasure::kRandom;
+  const bool use_heap = config_.measure != SelectionMeasure::kRandom;
   const bool heap_rescores =
       use_heap && config_.measure != SelectionMeasure::kCurvature;
   IndexedSelectionHeap heap;
@@ -651,7 +650,7 @@ FraResult FraPlanner::plan_detailed(const field::Field& reference,
         best = (*pool)[static_cast<std::size_t>(rng.uniform_int(
             0, static_cast<std::int64_t>(pool->size()) - 1))];
       }
-    } else if (use_heap) {
+    } else {
       // Rebuild once the storm has subsided: one Floyd build over the
       // current scores restores the single-entry invariant for every
       // unused candidate.  While displacement stays stormy the flat
@@ -662,7 +661,7 @@ FraResult FraPlanner::plan_detailed(const field::Field& reference,
       }
       if (heap.valid()) {
         // Pop until the first affordable candidate: heap order
-        // (score desc, index asc) makes it the scan's argmax, and every
+        // (score desc, index asc) makes it the greedy argmax, and every
         // pop is live by construction.  Unaffordable pops are parked —
         // affordability varies per iteration, so dropping them would
         // lose candidates for good — and restored once the selection is
@@ -688,10 +687,10 @@ FraResult FraPlanner::plan_detailed(const field::Field& reference,
         // Storm fallback: flat argmax over the score mirror.  Used
         // candidates sit at kUsedScore, so the first pass is a pure
         // unconstrained max — no per-candidate used or affordability
-        // test.  If the winner is affordable it *is* the oracle's
-        // argmax: the oracle's strict > / first-index rule picks the
-        // first candidate carrying the maximum affordable score, and an
-        // affordable global maximum is exactly that.  Only when the
+        // test.  If the winner is affordable it *is* the greedy argmax:
+        // the strict > / first-index rule picks the first candidate
+        // carrying the maximum affordable score, and an affordable
+        // global maximum is exactly that.  Only when the
         // winner is unaffordable (a far-from-net pick under a tight
         // relay budget — rare) does the filtered rescan run.
         CPS_COUNT("core.fra.heap_flat_scans", 1);
@@ -714,48 +713,6 @@ FraResult FraPlanner::plan_detailed(const field::Field& reference,
           }
         }
       }
-    } else {
-      // Ordered argmax over the lattice: strict > keeps the first (lowest
-      // index) maximum within a chunk and the chunk-order combine keeps
-      // the first across chunks — bit-identical to the serial scan at
-      // every thread count.
-      CPS_COUNT("core.fra.candidates_scanned", candidates.size());
-      struct Best {
-        double score;
-        std::size_t idx;
-      };
-      const Best found = par::parallel_reduce(
-          candidates.size(), Best{-1.0, candidates.size()},
-          [&](std::size_t begin, std::size_t end) {
-            Best local{-1.0, candidates.size()};
-            for (std::size_t ci = begin; ci < end; ++ci) {
-              const auto& c = candidates[ci];
-              if (c.used || !affordable(ci)) continue;
-              double score = 0.0;
-              switch (config_.measure) {
-                case SelectionMeasure::kLocalError:
-                  score = c.error;
-                  break;
-                case SelectionMeasure::kCurvature:
-                  score = c.curvature;
-                  break;
-                case SelectionMeasure::kProduct:
-                  score = c.error * c.curvature;
-                  break;
-                case SelectionMeasure::kRandom:
-                  break;  // Handled above.
-              }
-              if (score > local.score) {
-                local.score = score;
-                local.idx = ci;
-              }
-            }
-            return local;
-          },
-          [](Best acc, Best part) {
-            return part.score > acc.score ? part : acc;
-          });
-      best = found.idx;
     }
     if (best == candidates.size()) {
       // No affordable candidate: connect what exists to free the budget,

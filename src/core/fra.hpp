@@ -15,6 +15,19 @@
 //      positions inside the retriangulated cavity can have changed, so the
 //      update is O(cavity), the Garland-Heckbert structure.
 //
+// The per-iteration argmax runs on an indexed max-heap with at most one
+// entry per unused candidate: a position array maps candidates to heap
+// slots, so the Garland–Heckbert rebucket re-ranks a displaced candidate
+// with a decrease/increase-key sift, and every pop is live by
+// construction.  When an insertion's cavity displaces a large fraction of
+// the lattice (the early-iteration storms), the heap is invalidated
+// wholesale, selections are served by a flat argmax over the score
+// array, and one Floyd build restores the heap once cavities shrink.
+// Valid-but-unaffordable pops are parked and restored after the
+// selection (affordability is iteration-dependent).  Every path computes
+// the same (score desc, index asc) argmax; tests/test_perf_equivalence
+// checks it against a brute-force greedy reference.
+//
 // The selection measure is pluggable (local error, curvature, their
 // product, random) to reproduce the Garland comparison the paper cites
 // when motivating local error; see bench_ablation_selection.
@@ -37,27 +50,6 @@ enum class SelectionMeasure {
   kRandom,      ///< Uniformly random unused candidate (sanity floor).
 };
 
-/// How the per-iteration argmax over the candidate lattice is computed.
-///
-/// kHeap (default) keeps an *indexed* max-heap with at most one entry per
-/// unused candidate: a position array maps candidates to heap slots, so
-/// the Garland–Heckbert rebucket re-ranks a displaced candidate with a
-/// decrease/increase-key sift instead of pushing a duplicate, and every
-/// pop is live by construction (no stale entries to revalidate).  When an
-/// insertion's cavity displaces a large fraction of the lattice — the
-/// early-iteration storms that made the PR 4 lazy-deletion heap lose to
-/// the scan at small k — the heap is invalidated wholesale, selections
-/// are served by a flat argmax over the structure-of-arrays score mirror,
-/// and one Floyd build restores the heap once cavities shrink.
-/// Valid-but-unaffordable pops are parked and restored after the
-/// selection (affordability is iteration-dependent).  kScan is the full
-/// parallel_reduce lattice scan, O(k n), kept compiled in as the
-/// equivalence oracle.  Every path — heap pop, storm fallback, oracle
-/// scan — computes the identical (score desc, index asc) argmax, so the
-/// engines produce bit-identical selections; SelectionMeasure::kRandom
-/// ignores the engine and uses its own incremental free-list.
-enum class SelectionEngine { kScan, kHeap };
-
 /// FRA tuning knobs.
 struct FraConfig {
   /// Candidate lattice density per axis (the paper's sqrt(A) x sqrt(A)
@@ -71,8 +63,6 @@ struct FraConfig {
   double curvature_radius = 5.0;
   /// Seed for SelectionMeasure::kRandom.
   std::uint64_t seed = 1;
-  /// Argmax engine (see SelectionEngine); results are bit-identical.
-  SelectionEngine selection_engine = SelectionEngine::kHeap;
   /// When set, plan_detailed() feeds every insertion's cavity report into
   /// a cavity-local IncrementalDelta over this metric and records the
   /// what-if δ trajectory (FraResult::delta_trajectory / final_delta) —

@@ -12,20 +12,15 @@
 // only inside transmit(), in call order.  Two runs issuing the same
 // transmit() sequence on equal-seeded models see identical outcomes.
 //
-// No-draw pruning contract: transmit() rejects any pair farther apart
-// than max_range() *without consuming randomness* (draw schedules are
+// No-draw contract: transmit() rejects any pair farther apart than
+// radius() *without consuming randomness* (draw schedules are
 // per-attempt-on-in-range-pairs only).  MessageBus relies on this to
-// skip out-of-range receivers geometrically — via a spatial grid — while
-// keeping the RNG stream, and therefore every delivery outcome,
-// bit-identical to the full all-pairs probe.  test_perf_equivalence
-// pins the contract per model.
-//
-// The same contract is what lets MessageBus::step_matched commit a
-// pre-computed in-range pair list (core::ShardGrid's tile matching)
-// without re-probing geometry: since out-of-range probes never drew, a
-// commit that calls transmit() for exactly the in-range pairs — in the
-// same (sender ascending, receiver ascending) order — replays the
-// identical draw schedule and per-link state trajectory.
+// commit a pre-computed in-range pair list (core::ShardGrid's tile
+// matching): since out-of-range attempts never draw, calling transmit()
+// for exactly the in-range pairs — in (sender broadcast order, receiver
+// ascending) order — replays the draw schedule and per-link state
+// trajectory of an all-pairs probe.  test_perf_equivalence pins the
+// contract per model.
 #pragma once
 
 #include <cstdint>
@@ -44,7 +39,7 @@ using NodeId = std::size_t;
 
 /// Why a message (or a learned neighbour entry) was dropped.  Replaces the
 /// single undifferentiated drop count: per-reason counters are what the
-/// timeline and the sharded-CMA ghost-ring validation need — "losses rose
+/// timeline and the CMA ghost-ring validation need — "losses rose
 /// at slot 117" is useless without knowing whether the channel faded
 /// (link_loss_draw), the swarm thinned (dead_*) or it stretched out of
 /// range (out_of_range).
@@ -100,31 +95,23 @@ class LinkModel {
   /// Communication radius Rc: no delivery ever succeeds beyond it.
   virtual double radius() const noexcept = 0;
 
-  /// Pruning horizon: transmit() MUST return false for any pair farther
-  /// apart than this — and must do so without consuming randomness (see
-  /// the no-draw contract above).  Defaults to radius(); a model may only
-  /// widen it, never narrow it below the largest distance at which
-  /// transmit() can touch its RNG or per-link state.
-  virtual double max_range() const noexcept { return radius(); }
-
   /// True when a and b are within communication range (distance <= Rc).
   bool in_range(geo::Vec2 a, geo::Vec2 b) const noexcept {
     return geo::distance_sq(a, b) <= radius() * radius();
   }
 
   /// Samples one transmission attempt on the directed link from -> to;
-  /// always false when out of range.  Node ids identify the link for
-  /// models with per-link state (Gilbert–Elliott); position-only models
-  /// ignore them.  Mutates internal randomness.
+  /// always false, with no draw, when out of range.  Node ids identify
+  /// the link for models with per-link state (Gilbert–Elliott);
+  /// position-only models ignore them.  Mutates internal randomness.
   virtual bool transmit(NodeId from, NodeId to, geo::Vec2 from_pos,
                         geo::Vec2 to_pos) noexcept = 0;
 
   /// True when transmit() is a pure function of the endpoint geometry:
   /// it never consumes randomness and never mutates per-link state, and
-  /// in-range attempts always succeed.  A matched-delivery commit
-  /// (MessageBus::step_matched) may then deliver pre-verified in-range
-  /// pairs without calling transmit() at all — the draw schedule it
-  /// would have to preserve is empty.  Default false; only a model that
+  /// in-range attempts always succeed.  MessageBus::step may then
+  /// deliver pre-verified in-range pairs without calling transmit() at
+  /// all — the draw schedule it would have to preserve is empty.  Default false; only a model that
   /// can prove the property (e.g. a disk link with zero loss) overrides.
   virtual bool draw_free() const noexcept { return false; }
 

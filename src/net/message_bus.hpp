@@ -20,7 +20,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -28,7 +27,6 @@
 #include "net/link_model.hpp"
 #include "net/radio.hpp"
 #include "obs/obs.hpp"
-#include "parallel/spatial_hash.hpp"
 
 namespace cps::net {
 
@@ -38,18 +36,6 @@ struct Delivery {
   NodeId from = 0;
   M message{};
 };
-
-/// How step()/neighbors_of enumerate potential receivers.
-///
-/// kGrid (the default) builds a par::SpatialHash over the living
-/// receivers' positions — rebuilt lazily, at most once per position/alive
-/// change — and probes only the cells within the link's max_range() of
-/// each sender.  Per-slot cost drops from O(N^2) link evaluations to
-/// O(N * avg_degree).  The LinkModel no-draw contract (link_model.hpp)
-/// guarantees the pruned out-of-range probes never consumed randomness,
-/// so deliveries, inbox order, and counters are bit-identical to kFull.
-/// kFull keeps the all-pairs probe compiled in as the equivalence oracle.
-enum class DeliveryMode { kFull, kGrid };
 
 /// Broadcast-only message bus for `M`-typed payloads.
 template <typename M>
@@ -79,18 +65,10 @@ class MessageBus {
   void set_link(std::unique_ptr<LinkModel> link) {
     if (!link) throw std::invalid_argument("MessageBus: null link model");
     link_ = std::move(link);
-    grid_dirty_ = true;  // max_range() may have changed the cell size.
   }
-
-  /// Selects the receiver-enumeration strategy (see DeliveryMode).
-  void set_delivery_mode(DeliveryMode mode) noexcept { mode_ = mode; }
-  DeliveryMode delivery_mode() const noexcept { return mode_; }
 
   /// Updates the position used for range checks of subsequent broadcasts.
-  void set_position(NodeId id, geo::Vec2 p) {
-    positions_.at(id) = p;
-    grid_dirty_ = true;
-  }
+  void set_position(NodeId id, geo::Vec2 p) { positions_.at(id) = p; }
   geo::Vec2 position(NodeId id) const { return positions_.at(id); }
 
   /// Marks a node dead (false) or alive (true).  Killing a node clears
@@ -101,7 +79,6 @@ class MessageBus {
     }
     alive_[id] = alive ? 1 : 0;
     if (!alive) inboxes_[id].clear();
-    grid_dirty_ = true;
   }
 
   bool alive(NodeId id) const {
@@ -137,129 +114,72 @@ class MessageBus {
   /// Broadcasts queued over the bus lifetime (the radio-energy proxy).
   std::size_t total_broadcasts() const noexcept { return total_broadcasts_; }
 
-  /// Delivers all queued broadcasts to in-range living receivers and
-  /// clears the queue.  Senders do not receive their own broadcasts.
+  /// Delivers all queued broadcasts and clears the queue.  The caller
+  /// supplies, per living sender, the exact set of living receivers
+  /// within the link radius of its send-time position: `receivers_of(from)`
+  /// returns a range of NodeIds in ascending order, self excluded —
+  /// typically a tile decomposition's pair lists (core::ShardGrid).
   ///
-  /// Under DeliveryMode::kGrid (default) each sender probes only the
-  /// grid cells within link max_range(); deliveries, inbox order, and
-  /// delivery counters are bit-identical to the kFull all-pairs probe
-  /// because pruned receivers never consumed randomness (no-draw
-  /// contract) and candidates are re-sorted into ascending-id order
-  /// before the transmit() draws.
-  void step() {
+  /// transmit() runs for exactly those pairs in (broadcast order,
+  /// receiver ascending) order, so the link's RNG stream and per-link
+  /// state follow the same schedule as an all-pairs probe would: pairs
+  /// the caller left out are out of range, and the no-draw contract
+  /// (link_model.hpp) says they would never have drawn.  When the link is
+  /// draw_free() the pairs are delivered without calling transmit().
+  ///
+  /// Throws std::invalid_argument, before anything is delivered, when a
+  /// list names a receiver that does not exist, is dead, or is the
+  /// sender itself.
+  template <typename ReceiversOf>
+  void step(ReceiversOf&& receivers_of) {
+    for (const auto& pending : outbox_) {
+      if (!alive_[pending.from]) continue;
+      for (const NodeId to : receivers_of(pending.from)) {
+        if (to >= positions_.size() || to == pending.from || !alive_[to]) {
+          throw std::invalid_argument(
+              "MessageBus::step: receiver list names a missing, dead or "
+              "self receiver");
+        }
+      }
+    }
     begin_slot();
-    if (mode_ == DeliveryMode::kGrid) refresh_grid();
-    // Per-reason drop accounting is arithmetic over per-message tallies,
-    // never per-probe: the grid mode skips most dead/out-of-range
-    // receivers without probing them, so counting inside probe() would
-    // make the taxonomy depend on the delivery mode.  With `delivered`
-    // and `lost` tallied per message, the remaining receivers decompose
-    // exactly — identically under kGrid and kFull:
+    // Per-reason drop accounting is arithmetic over per-message tallies:
+    // every living receiver outside the list is out of range, so
     //   dead_receiver = node_count - alive_now          (per message)
     //   out_of_range  = (alive_now - 1) - delivered - lost
     const bool account = obs::enabled();
     const std::size_t alive_now = account ? alive_count() : 0;
+    const bool no_draws = link_->draw_free();
     for (auto& pending : outbox_) {
       if (!alive_[pending.from]) {
         // Died with messages in flight: the whole broadcast is lost.
         count_drops(DropReason::kDeadSender, 1);
         continue;
       }
-      delivered_ = 0;
-      lost_ = 0;
-      if (mode_ == DeliveryMode::kGrid) {
-        candidates_.clear();
-        const std::size_t cells = grid_->collect_candidates(
-            pending.sent_from, link_->max_range(), candidates_);
-        CPS_HIST("net.bus.cells_probed", cells);
-        // collect_candidates returns ids cell by cell; sorting restores
-        // the ascending-id receiver order of the full probe, which fixes
-        // the RNG draw order (compact grid ids map to ascending NodeIds).
-        std::sort(candidates_.begin(), candidates_.end());
-        for (const std::uint32_t c : candidates_) {
-          probe(pending, grid_ids_[c]);
-        }
-      } else {
-        for (NodeId to = 0; to < positions_.size(); ++to) {
-          if (!alive_[to]) continue;
-          probe(pending, to);
-        }
-      }
-      if (account) {
-        count_drops(DropReason::kDeadReceiver,
-                    static_cast<std::uint64_t>(node_count() - alive_now));
-        count_drops(DropReason::kLinkLossDraw, lost_);
-        count_drops(
-            DropReason::kOutOfRange,
-            static_cast<std::uint64_t>(alive_now - 1) - delivered_ - lost_);
-      }
-    }
-    outbox_.clear();
-  }
-
-  /// Matched delivery: the caller supplies, per living sender, the exact
-  /// set of living in-range receivers (ascending ids, self excluded) —
-  /// typically a tile decomposition's pair lists (core::ShardGrid).
-  ///
-  /// Equivalence contract with step(): `receivers_of(from)` must return
-  /// precisely the ids step() would have delivered-or-lost to, in the
-  /// same ascending order.  transmit() is then invoked for exactly the
-  /// in-range pairs in the same global (sender broadcast order, receiver
-  /// ascending) sequence as the kFull/kGrid probes; since out-of-range
-  /// probes never consumed randomness (no-draw contract), the RNG
-  /// stream, per-link state, inbox order, and the drop-reason taxonomy
-  /// are all bit-identical to step().  transmit_attempts counts only the
-  /// in-range probes — the matcher already rejected the rest
-  /// geometrically — so that cost counter (already delivery-mode
-  /// dependent under kGrid vs kFull) shrinks by the out-of-range
-  /// fraction.  When the link is draw_free(), transmit() is skipped
-  /// entirely: in-range pairs are pre-verified and the draw schedule
-  /// being replayed is empty.
-  template <typename ReceiversOf>
-  void step_matched(ReceiversOf&& receivers_of) {
-    begin_slot();
-    const bool account = obs::enabled();
-    const std::size_t alive_now = account ? alive_count() : 0;
-    const bool no_draws = link_->draw_free();
-    for (auto& pending : outbox_) {
-      if (!alive_[pending.from]) {
-        count_drops(DropReason::kDeadSender, 1);
-        continue;
-      }
-      delivered_ = 0;
-      lost_ = 0;
+      std::uint64_t delivered = 0;
+      std::uint64_t lost = 0;
       const auto& receivers = receivers_of(pending.from);
-      CPS_COUNT("net.bus.transmit_attempts",
-                static_cast<std::uint64_t>(receivers.size()));
-      if (no_draws) {
-        CPS_COUNT("net.bus.deliveries",
-                  static_cast<std::uint64_t>(receivers.size()));
-        delivered_ = receivers.size();
-        for (const NodeId to : receivers) {
+      for (const NodeId to : receivers) {
+        CPS_COUNT("net.bus.transmit_attempts", 1);
+        if (no_draws || link_->transmit(pending.from, to, pending.sent_from,
+                                        positions_[to])) {
+          CPS_COUNT("net.bus.deliveries", 1);
+          ++delivered;
           inboxes_[to].push_back(Delivery<M>{pending.from, pending.message});
-        }
-      } else {
-        for (const NodeId to : receivers) {
-          if (link_->transmit(pending.from, to, pending.sent_from,
-                              positions_[to])) {
-            CPS_COUNT("net.bus.deliveries", 1);
-            ++delivered_;
-            inboxes_[to].push_back(Delivery<M>{pending.from, pending.message});
-          } else {
-            // Every matched receiver is in range by contract, so a failed
-            // transmit is a channel loss, never an out-of-range miss.
-            CPS_COUNT("net.bus.delivery_failures", 1);
-            ++lost_;
-          }
+        } else {
+          // Every listed receiver is in range, so a failed transmit is a
+          // channel loss, never an out-of-range miss.
+          CPS_COUNT("net.bus.delivery_failures", 1);  // Legacy aggregate.
+          ++lost;
         }
       }
       if (account) {
         count_drops(DropReason::kDeadReceiver,
                     static_cast<std::uint64_t>(node_count() - alive_now));
-        count_drops(DropReason::kLinkLossDraw, lost_);
+        count_drops(DropReason::kLinkLossDraw, lost);
         count_drops(
             DropReason::kOutOfRange,
-            static_cast<std::uint64_t>(alive_now - 1) - delivered_ - lost_);
+            static_cast<std::uint64_t>(alive_now - 1) - delivered - lost);
       }
     }
     outbox_.clear();
@@ -268,33 +188,6 @@ class MessageBus {
   /// Messages delivered to `id` by the last step().
   const std::vector<Delivery<M>>& inbox(NodeId id) const {
     return inboxes_.at(id);
-  }
-
-  /// Ids of living nodes currently within radio range of `id` (excluding
-  /// itself).  An oracle view of the topology — protocol code should
-  /// prefer beacon-learned neighbour tables, which see only what the
-  /// channel actually delivered.  Grid-pruned under DeliveryMode::kGrid
-  /// (ascending ids either way).
-  std::vector<NodeId> neighbors_of(NodeId id) const {
-    std::vector<NodeId> out;
-    const geo::Vec2 p = positions_.at(id);
-    if (mode_ == DeliveryMode::kGrid) {
-      refresh_grid();
-      candidates_.clear();
-      grid_->collect_candidates(p, link_->max_range(), candidates_);
-      std::sort(candidates_.begin(), candidates_.end());
-      for (const std::uint32_t c : candidates_) {
-        const NodeId j = grid_ids_[c];
-        if (j != id && link_->in_range(p, positions_[j])) out.push_back(j);
-      }
-    } else {
-      for (NodeId j = 0; j < positions_.size(); ++j) {
-        if (j != id && alive_[j] && link_->in_range(p, positions_[j])) {
-          out.push_back(j);
-        }
-      }
-    }
-    return out;
   }
 
  private:
@@ -325,63 +218,16 @@ class MessageBus {
     CPS_HIST("net.bus.inbox_high_water", fullest);
   }
 
-  /// One directed transmission attempt against the link model.
-  void probe(const Pending& pending, NodeId to) {
-    if (to == pending.from) return;
-    CPS_COUNT("net.bus.transmit_attempts", 1);
-    if (link_->transmit(pending.from, to, pending.sent_from,
-                        positions_[to])) {
-      CPS_COUNT("net.bus.deliveries", 1);
-      ++delivered_;
-      inboxes_[to].push_back(Delivery<M>{pending.from, pending.message});
-    } else if (link_->in_range(pending.sent_from, positions_[to])) {
-      // A failed transmission to an in-range receiver is a radio loss;
-      // out-of-range receivers are not delivery failures.
-      CPS_COUNT("net.bus.delivery_failures", 1);  // Legacy aggregate name.
-      ++lost_;
-    }
-  }
-
-  /// Rebuilds the living-receiver spatial index if positions, liveness,
-  /// or the link model changed since the last build.  Cell size is the
-  /// link's max_range(), so a range query touches at most 9 cells.
-  void refresh_grid() const {
-    if (!grid_dirty_ && grid_.has_value()) return;
-    grid_ids_.clear();
-    grid_positions_.clear();
-    for (NodeId i = 0; i < positions_.size(); ++i) {
-      if (alive_[i]) {
-        grid_ids_.push_back(i);
-        grid_positions_.push_back(positions_[i]);
-      }
-    }
-    grid_.emplace(grid_positions_, link_->max_range());
-    grid_dirty_ = false;
-    CPS_COUNT("net.bus.grid_rebuilds", 1);
-  }
-
   std::unique_ptr<LinkModel> link_;
   std::vector<geo::Vec2> positions_;
   std::vector<char> alive_;
   std::vector<Pending> outbox_;
-  // Per-message probe tallies for the drop-reason arithmetic in step().
-  std::uint64_t delivered_ = 0;
-  std::uint64_t lost_ = 0;
   std::vector<std::vector<Delivery<M>>> inboxes_;
   /// Per-receiver running high-water marks feeding begin_slot()'s
   /// reservation.
   std::vector<std::size_t> inbox_hw_ =
       std::vector<std::size_t>(inboxes_.size(), 0);
   std::size_t total_broadcasts_ = 0;
-  DeliveryMode mode_ = DeliveryMode::kGrid;
-  // Lazily maintained living-receiver index (kGrid only).  Mutable:
-  // neighbors_of is logically const; the bus makes no thread-safety
-  // claims, so the cache needs no lock.
-  mutable std::vector<NodeId> grid_ids_;          // Living ids, ascending.
-  mutable std::vector<geo::Vec2> grid_positions_;  // Their positions.
-  mutable std::optional<par::SpatialHash> grid_;
-  mutable bool grid_dirty_ = true;
-  mutable std::vector<std::uint32_t> candidates_;  // Query scratch.
 };
 
 }  // namespace cps::net

@@ -50,9 +50,12 @@ std::int64_t now_us() noexcept {
       .count();
 }
 
-// Per-thread buffer.  Constructed on a thread's first record *through the
-// recorder instance*, so the recorder singleton outlives every buffer and
-// the exit-time flush in the destructor is always safe.
+// Per-thread buffer, flushed into the recorder when its thread exits.
+// The main thread's buffer is constructed on its first record *through
+// the recorder instance*, so the recorder outlives it.  Pool workers exit
+// while the process pool's static is destroyed; the pool constructs the
+// recorder before itself (parallel/thread_pool.cpp), so the recorder
+// outlives them too.
 struct ThreadBuffer {
   std::vector<TraceEvent> events;
   ~ThreadBuffer() { TraceRecorder::instance().absorb(events); }

@@ -126,35 +126,14 @@ class SpatialHash {
     }
   }
 
-  /// Appends to `out` the ids of every indexed point whose cell intersects
-  /// the disk (p, radius) — the same candidate superset for_each_candidate
-  /// visits — and returns the number of cells probed.  Ids arrive cell by
-  /// cell (row-major, ascending within each cell); callers needing a
-  /// globally ascending order sort the result.
-  std::size_t collect_candidates(geo::Vec2 p, double radius,
-                                 std::vector<std::uint32_t>& out) const {
-    if (ids_.empty()) return 0;
-    const std::size_t c0 = col_of(p.x - radius);
-    const std::size_t c1 = col_of(p.x + radius);
-    const std::size_t r0 = row_of(p.y - radius);
-    const std::size_t r1 = row_of(p.y + radius);
-    std::size_t cells = 0;
-    for (std::size_t row = r0; row <= r1; ++row) {
-      for (std::size_t col = c0; col <= c1; ++col) {
-        ++cells;
-        const auto members = cell_members(cell_index(col, row));
-        out.insert(out.end(), members.begin(), members.end());
-      }
-    }
-    return cells;
-  }
-
-  /// Like collect_candidates, but skips whole cells whose closed rectangle
-  /// lies strictly outside the disk (p, radius) — typically the corner
-  /// cells of the 3x3 neighbourhood, ~15% of candidates at uniform
-  /// density.  Still a superset of the points within `radius`: callers
-  /// apply the exact distance test.  Returns the number of cells whose
-  /// members were appended.
+  /// Appends to `out` the ids of every indexed point whose cell
+  /// intersects the disk (p, radius), skipping whole cells whose closed
+  /// rectangle lies strictly outside it — typically the corner cells of
+  /// the 3x3 neighbourhood, ~15% of candidates at uniform density.  A
+  /// superset of the points within `radius`: callers apply the exact
+  /// distance test.  Ids arrive cell by cell (row-major, ascending within
+  /// each cell); callers needing a globally ascending order sort the
+  /// result.  Returns the number of cells whose members were appended.
   std::size_t collect_candidates_pruned(
       geo::Vec2 p, double radius, std::vector<std::uint32_t>& out) const {
     if (ids_.empty()) return 0;

@@ -190,6 +190,11 @@ struct ProcessPool {
   }
 
   static ProcessPool& instance() {
+    // Workers flush their thread-local trace buffers into the recorder
+    // when they exit, which happens when this static is destroyed.
+    // Statics are destroyed in reverse order of construction, so
+    // constructing the recorder first keeps it alive for those flushes.
+    obs::TraceRecorder::instance();
     static ProcessPool p;
     return p;
   }

@@ -4,9 +4,9 @@
 //    (analytic, grid, time-varying slices, the GreenOrbs trace) — the
 //    batch kernels may hoist row-invariant work but must keep every
 //    per-point expression bit-identical;
-//  * DeltaMetric's raster span engine vs the locate-walk oracle, across
-//    corner policies, degenerate sample sets (collinear, duplicates),
-//    and 1 / 4 worker threads;
+//  * DeltaMetric's raster sweep vs the per-point locate-walk reference
+//    (tests/oracles.hpp), across corner policies, degenerate sample sets
+//    (collinear, duplicates), and 1 / 4 worker threads;
 //  * the content-keyed reference-lattice cache (on by default): cached
 //    sweeps must reproduce the uncached bits exactly, copies must not
 //    share entries, keys must track parameters / slice time / mutation,
@@ -26,6 +26,7 @@
 #include "field/grid_field.hpp"
 #include "field/time_varying.hpp"
 #include "parallel/thread_pool.hpp"
+#include "oracles.hpp"
 #include "trace/greenorbs.hpp"
 
 namespace cps {
@@ -98,7 +99,7 @@ TEST(ValueRowEquivalence, TimeVaryingSlicesMatchScalar) {
   expect_row_matches_scalar(field::FieldSlice(seq, 3.75), "frameseq");
 }
 
-// --- DeltaEngine: raster spans vs the locate-walk oracle ------------------
+// --- Raster sweep vs the per-point locate-walk reference ----------------
 
 field::AnalyticField reference_surface() {
   return field::AnalyticField([](double x, double y) {
@@ -107,16 +108,21 @@ field::AnalyticField reference_surface() {
   });
 }
 
-double delta_with_engine(const field::Field& f,
-                         std::span<const geo::Vec2> positions,
-                         core::DeltaEngine engine, core::CornerPolicy policy,
-                         std::size_t resolution = 64) {
-  core::DeltaMetric metric(kRegion, resolution);
-  metric.set_engine(engine);
-  return metric.delta_of_deployment(f, positions, policy);
+/// Raster δ of a deployment and the walk reference's δ of the same
+/// reconstruction.
+void expect_raster_matches_walk(const field::Field& f,
+                                std::span<const geo::Vec2> positions,
+                                core::CornerPolicy policy,
+                                std::size_t resolution = 64) {
+  const core::DeltaMetric metric(kRegion, resolution);
+  const geo::Delaunay dt = core::reconstruct_surface(
+      core::take_samples(f, positions), kRegion, policy, &f);
+  const double raster = metric.delta(f, dt);
+  EXPECT_EQ(raster, oracle::walk_delta(metric, f, dt));  // Bitwise.
+  EXPECT_EQ(raster, metric.delta_of_deployment(f, positions, policy));
 }
 
-TEST(DeltaEngineEquivalence, RasterMatchesWalkAcrossPoliciesAndThreads) {
+TEST(DeltaRasterEquivalence, RasterMatchesWalkAcrossPoliciesAndThreads) {
   const auto f = reference_surface();
   const auto plan =
       core::RandomPlanner(7).plan(f, core::PlanRequest{kRegion, 50, 10.0});
@@ -126,17 +132,13 @@ TEST(DeltaEngineEquivalence, RasterMatchesWalkAcrossPoliciesAndThreads) {
                               core::CornerPolicy::kFieldValue}) {
       SCOPED_TRACE("threads=" + std::to_string(threads) + " policy=" +
                    std::to_string(static_cast<int>(policy)));
-      const double walk = delta_with_engine(f, plan.positions,
-                                            core::DeltaEngine::kWalk, policy);
-      const double raster = delta_with_engine(
-          f, plan.positions, core::DeltaEngine::kRaster, policy);
-      EXPECT_EQ(walk, raster);  // Bitwise, not approximately.
+      expect_raster_matches_walk(f, plan.positions, policy);
     }
   }
   par::set_thread_count(1);
 }
 
-TEST(DeltaEngineEquivalence, DegenerateSampleSets) {
+TEST(DeltaRasterEquivalence, DegenerateSampleSets) {
   const auto f = reference_surface();
   // Collinear interior points (sliver triangles against the corners) and
   // exact duplicates: the raster pre-pass must agree with the walk on
@@ -149,28 +151,19 @@ TEST(DeltaEngineEquivalence, DegenerateSampleSets) {
   };
   for (std::size_t c = 0; c < cases.size(); ++c) {
     SCOPED_TRACE("case " + std::to_string(c));
-    const double walk =
-        delta_with_engine(f, cases[c], core::DeltaEngine::kWalk,
-                          core::CornerPolicy::kFieldValue);
-    const double raster =
-        delta_with_engine(f, cases[c], core::DeltaEngine::kRaster,
-                          core::CornerPolicy::kFieldValue);
-    EXPECT_EQ(walk, raster);
+    expect_raster_matches_walk(f, cases[c], core::CornerPolicy::kFieldValue);
   }
 }
 
-TEST(DeltaEngineEquivalence, ResolutionOneLattice) {
-  // A 1x1 evaluation lattice: one midpoint, one span row.  Both engines
-  // must survive it and agree.
+TEST(DeltaRasterEquivalence, ResolutionOneLattice) {
+  // A 1x1 evaluation lattice: one midpoint, one span row.  The raster
+  // must survive it and agree with the walk.
   const auto f = reference_surface();
-  core::DeltaMetric walk_metric(kRegion, 1);
-  walk_metric.set_engine(core::DeltaEngine::kWalk);
-  core::DeltaMetric raster_metric(kRegion, 1);
-  raster_metric.set_engine(core::DeltaEngine::kRaster);
+  const core::DeltaMetric metric(kRegion, 1);
   const auto dt = core::reconstruct_surface(
       {}, kRegion, core::CornerPolicy::kFieldValue, &f);
-  EXPECT_EQ(walk_metric.delta(f, dt), raster_metric.delta(f, dt));
-  EXPECT_GT(raster_metric.delta(f, dt), 0.0);
+  EXPECT_EQ(metric.delta(f, dt), oracle::walk_delta(metric, f, dt));
+  EXPECT_GT(metric.delta(f, dt), 0.0);
 }
 
 // --- Reference-lattice cache ----------------------------------------------
@@ -283,7 +276,6 @@ TEST(ReferenceCache, CopiesShareConfigurationButNotEntries) {
   const core::DeltaMetric copy(metric);
   EXPECT_EQ(copy.reference_cache_capacity(), 2u);
   EXPECT_EQ(copy.reference_cache_size(), 0u);
-  EXPECT_EQ(copy.engine(), metric.engine());
 
   // Eviction: capacity 2, three distinct frames.
   for (const int minute : {20, 40, 59}) {

@@ -6,13 +6,14 @@
 //    (z-changing and no-op), moves, and removals, with a cocircular
 //    grid-aligned point mix, across the field zoo and 1–4 worker
 //    threads; after EVERY event the tracker's value must be
-//    bit-identical to a fresh kRaster sweep AND the kWalk oracle of the
-//    same triangulation (the DESIGN.md §13 oracle protocol);
+//    bit-identical to a fresh raster sweep AND the per-point walk
+//    reference (tests/oracles.hpp) of the same triangulation (the
+//    DESIGN.md §13 oracle protocol);
 //  * retarget (reference swap) and batched z-update events against the
 //    same oracles;
 //  * rebase after a mid-stream thread-count change;
-//  * the DeltaEngine::kIncremental dispatch (delta() through a
-//    throwaway tracker) across both corner policies;
+//  * a tracker built from scratch on a reconstruction, across both
+//    corner policies;
 //  * CmaDeltaTracker: per-slot tracked δ bit-identical to a fresh sweep
 //    of its own triangulation through deaths, revivals, moves, and a
 //    position-aliased node pair.
@@ -35,6 +36,7 @@
 #include "field/time_varying.hpp"
 #include "net/fault.hpp"
 #include "numerics/rng.hpp"
+#include "oracles.hpp"
 #include "parallel/thread_pool.hpp"
 
 namespace cps::core {
@@ -58,13 +60,11 @@ struct ThreadGuard {
 // --- Randomized event fuzz against both fresh oracles ---------------------
 
 /// Drives one triangulation and one IncrementalDelta through `events`
-/// random events, comparing against fresh kRaster and kWalk sweeps after
-/// every single one.
+/// random events, comparing against a fresh raster sweep and the walk
+/// reference after every single one.
 void fuzz_events(const field::Field& f, std::uint64_t seed,
                  std::size_t events, std::size_t resolution) {
   DeltaMetric raster(kRegion, resolution);
-  DeltaMetric walk(kRegion, resolution);
-  walk.set_engine(DeltaEngine::kWalk);
 
   geo::Delaunay dt(kRegion);
   for (int corner = 0; corner < geo::Delaunay::kCorners; ++corner) {
@@ -89,7 +89,7 @@ void fuzz_events(const field::Field& f, std::uint64_t seed,
     SCOPED_TRACE("event " + std::to_string(step) + " (" + what + ")");
     const double fresh = raster.delta(f, dt);
     ASSERT_EQ(inc.value(), fresh);        // Bitwise, not approximately.
-    ASSERT_EQ(fresh, walk.delta(f, dt));  // And the walk oracle agrees.
+    ASSERT_EQ(fresh, oracle::walk_delta(raster, f, dt));  // And the walk.
   };
 
   for (std::size_t step = 0; step < events; ++step) {
@@ -252,21 +252,19 @@ TEST(IncrementalDelta, RebaseRecapturesChunkLayout) {
   EXPECT_EQ(inc.value(), metric.delta(f, dt));
 }
 
-// --- DeltaEngine::kIncremental dispatch -----------------------------------
+// --- Tracker built from scratch --------------------------------------------
 
-TEST(IncrementalDelta, EngineDispatchMatchesRasterAcrossPolicies) {
+TEST(IncrementalDelta, FreshTrackerMatchesRasterAcrossPolicies) {
   const auto f = reference_surface();
   const auto samples = take_samples(
       f, std::vector<geo::Vec2>{{15.0, 25.0}, {60.0, 10.0}, {50.0, 50.0},
                                 {80.0, 75.0}, {30.0, 90.0}});
-  DeltaMetric raster(kRegion, 50);
-  DeltaMetric incremental(kRegion, 50);
-  incremental.set_engine(DeltaEngine::kIncremental);
-  EXPECT_EQ(incremental.engine(), DeltaEngine::kIncremental);
+  const DeltaMetric raster(kRegion, 50);
   for (const auto policy :
        {CornerPolicy::kNearestSample, CornerPolicy::kFieldValue}) {
     SCOPED_TRACE("policy=" + std::to_string(static_cast<int>(policy)));
-    EXPECT_EQ(incremental.delta_from_samples(f, samples, policy),
+    const geo::Delaunay dt = reconstruct_surface(samples, kRegion, policy, &f);
+    EXPECT_EQ(IncrementalDelta(raster, f, dt).value(),
               raster.delta_from_samples(f, samples, policy));
   }
 }

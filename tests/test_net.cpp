@@ -1,10 +1,13 @@
 // Tests for the radio model and message bus (net/*).
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "net/message_bus.hpp"
 #include "net/radio.hpp"
+#include "oracles.hpp"
 
 namespace cps::net {
 namespace {
@@ -46,7 +49,7 @@ TEST(MessageBus, DeliversToInRangeOnly) {
   bus.set_position(1, {5.0, 0.0});
   bus.set_position(2, {50.0, 0.0});
   bus.broadcast(0, "hello");
-  bus.step();
+  bus.step(oracle::in_range_receivers(bus));
   ASSERT_EQ(bus.inbox(1).size(), 1u);
   EXPECT_EQ(bus.inbox(1)[0].from, 0u);
   EXPECT_EQ(bus.inbox(1)[0].message, "hello");
@@ -59,9 +62,9 @@ TEST(MessageBus, StepClearsPreviousInboxes) {
   bus.set_position(0, {0.0, 0.0});
   bus.set_position(1, {1.0, 0.0});
   bus.broadcast(0, 1);
-  bus.step();
+  bus.step(oracle::in_range_receivers(bus));
   ASSERT_EQ(bus.inbox(1).size(), 1u);
-  bus.step();  // Nothing queued.
+  bus.step(oracle::in_range_receivers(bus));  // Nothing queued.
   EXPECT_TRUE(bus.inbox(1).empty());
 }
 
@@ -72,7 +75,7 @@ TEST(MessageBus, MultipleSendersAggregate) {
   bus.set_position(2, {5.0, 5.0});
   bus.broadcast(0, 10);
   bus.broadcast(1, 20);
-  bus.step();
+  bus.step(oracle::in_range_receivers(bus));
   EXPECT_EQ(bus.inbox(2).size(), 2u);
   EXPECT_EQ(bus.inbox(0).size(), 1u);
   EXPECT_EQ(bus.inbox(0)[0].message, 20);
@@ -85,20 +88,37 @@ TEST(MessageBus, UsesSendTimePosition) {
   bus.set_position(0, {0.0, 0.0});
   bus.set_position(1, {8.0, 0.0});
   bus.broadcast(0, 5);
+  const std::vector<NodeId> receivers = oracle::in_range_receivers(bus)(0);
   bus.set_position(0, {100.0, 0.0});  // Sender teleports away.
-  bus.step();
+  bus.step([&](NodeId) { return receivers; });
   EXPECT_EQ(bus.inbox(1).size(), 1u);  // Still delivered.
 }
 
-TEST(MessageBus, NeighborsOfUsesCurrentPositions) {
+TEST(MessageBus, StepRejectsReceiverBeyondNodeCount) {
   MessageBus<int> bus(3, DiskRadio(10.0));
-  bus.set_position(0, {0.0, 0.0});
-  bus.set_position(1, {9.0, 0.0});
-  bus.set_position(2, {30.0, 0.0});
-  EXPECT_EQ(bus.neighbors_of(0), (std::vector<NodeId>{1}));
-  EXPECT_EQ(bus.neighbors_of(2), (std::vector<NodeId>{}));
-  bus.set_position(2, {15.0, 0.0});
-  EXPECT_EQ(bus.neighbors_of(1), (std::vector<NodeId>{0, 2}));
+  bus.broadcast(0, 1);
+  EXPECT_THROW(bus.step([](NodeId) { return std::vector<NodeId>{1, 3}; }),
+               std::invalid_argument);
+  // Nothing was delivered; the message is still queued.
+  EXPECT_TRUE(bus.inbox(1).empty());
+  bus.step(oracle::in_range_receivers(bus));
+  EXPECT_EQ(bus.inbox(1).size(), 1u);
+}
+
+TEST(MessageBus, StepRejectsSenderAsItsOwnReceiver) {
+  MessageBus<int> bus(3, DiskRadio(10.0));
+  bus.broadcast(1, 1);
+  EXPECT_THROW(bus.step([](NodeId) { return std::vector<NodeId>{0, 1}; }),
+               std::invalid_argument);
+  EXPECT_TRUE(bus.inbox(0).empty());
+}
+
+TEST(MessageBus, StepRejectsDeadReceiver) {
+  MessageBus<int> bus(3, DiskRadio(10.0));
+  bus.set_alive(2, false);
+  bus.broadcast(0, 1);
+  EXPECT_THROW(bus.step([](NodeId) { return std::vector<NodeId>{1, 2}; }),
+               std::invalid_argument);
 }
 
 TEST(MessageBus, OutOfRangeIdsThrow) {
@@ -115,7 +135,7 @@ TEST(MessageBus, LossyBusDropsSomeDeliveries) {
   int delivered = 0;
   for (int i = 0; i < 1000; ++i) {
     bus.broadcast(0, i);
-    bus.step();
+    bus.step(oracle::in_range_receivers(bus));
     delivered += static_cast<int>(bus.inbox(1).size());
   }
   EXPECT_GT(delivered, 350);

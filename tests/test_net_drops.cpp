@@ -1,7 +1,7 @@
 // Tests for the message drop-reason taxonomy (net/link_model.hpp
 // count_drops + MessageBus per-message accounting + CMA neighbour-table
-// aging): per-reason counters must decompose the aggregate exactly, agree
-// between delivery modes, and line up with the legacy aggregate names.
+// aging): per-reason counters must decompose the aggregate exactly and
+// line up with the legacy aggregate names.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -16,6 +16,7 @@
 #include "net/link_model.hpp"
 #include "net/message_bus.hpp"
 #include "obs/obs.hpp"
+#include "oracles.hpp"
 
 namespace cps::net {
 namespace {
@@ -75,9 +76,8 @@ TEST(DropReason, NamesAreStable) {
 
 /// 6 nodes: 0..2 clustered (mutually in range of Rc = 10), 3 far away,
 /// 4 and 5 clustered with each other but out of range of the rest.
-MessageBus<int> make_bus(DeliveryMode mode, double loss) {
+MessageBus<int> make_bus(double loss) {
   MessageBus<int> bus(6, std::make_unique<DiskLink>(10.0, loss, 42));
-  bus.set_delivery_mode(mode);
   bus.set_position(0, {10.0, 10.0});
   bus.set_position(1, {14.0, 10.0});
   bus.set_position(2, {10.0, 14.0});
@@ -89,20 +89,20 @@ MessageBus<int> make_bus(DeliveryMode mode, double loss) {
 
 // One slot with every reason except ttl_expired represented; the reasons
 // must sum to the aggregate and line up with the legacy counters.
-void run_mixed_slot(DeliveryMode mode) {
-  MessageBus<int> bus = make_bus(mode, /*loss=*/0.5);
+void run_mixed_slot() {
+  MessageBus<int> bus = make_bus(/*loss=*/0.5);
   bus.set_alive(2, false);       // A dead receiver for node 0/1 traffic.
   bus.broadcast(2, 99);          // Dead at broadcast: dead_sender.
   bus.broadcast(0, 1);           // Reaches 1; 2 dead, 3/4/5 out of range.
   bus.broadcast(5, 2);           // Reaches 4 only.
   bus.broadcast(3, 3);           // Isolated: everything out of range.
   bus.set_alive(3, false);       // Dies with its message in flight.
-  bus.step();
+  bus.step(oracle::in_range_receivers(bus));
 }
 
 TEST(DropCounters, ReasonsDecomposeTotalExactly) {
   ObsScope obs;
-  run_mixed_slot(DeliveryMode::kGrid);
+  run_mixed_slot();
   const DropCounts c = DropCounts::read();
   // alive_now = 4 (nodes 0, 1, 4, 5); two alive-sender messages from the
   // cluster senders plus... node 3's message died with it.
@@ -116,34 +116,13 @@ TEST(DropCounters, ReasonsDecomposeTotalExactly) {
             c.legacy_dead_broadcasts + 1u);  // +1 died-in-flight.
 }
 
-TEST(DropCounters, GridAndFullModesAgreePerReason) {
-  DropCounts grid{};
-  DropCounts full{};
-  {
-    ObsScope obs;
-    run_mixed_slot(DeliveryMode::kGrid);
-    grid = DropCounts::read();
-  }
-  {
-    ObsScope obs;
-    run_mixed_slot(DeliveryMode::kFull);
-    full = DropCounts::read();
-  }
-  EXPECT_EQ(grid.dead_sender, full.dead_sender);
-  EXPECT_EQ(grid.dead_receiver, full.dead_receiver);
-  EXPECT_EQ(grid.out_of_range, full.out_of_range);
-  EXPECT_EQ(grid.link_loss_draw, full.link_loss_draw);
-  EXPECT_EQ(grid.ttl_expired, full.ttl_expired);
-  EXPECT_EQ(grid.total, full.total);
-}
-
 TEST(DropCounters, LossFreeChannelDrawsNothing) {
   ObsScope obs;
-  MessageBus<int> bus = make_bus(DeliveryMode::kGrid, /*loss=*/0.0);
+  MessageBus<int> bus = make_bus(/*loss=*/0.0);
   for (NodeId from = 0; from < bus.node_count(); ++from) {
     bus.broadcast(from, static_cast<int>(from));
   }
-  bus.step();
+  bus.step(oracle::in_range_receivers(bus));
   const DropCounts c = DropCounts::read();
   EXPECT_EQ(c.link_loss_draw, 0u);
   EXPECT_EQ(c.dead_sender, 0u);

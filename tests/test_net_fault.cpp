@@ -9,6 +9,7 @@
 #include "net/link_model.hpp"
 #include "net/message_bus.hpp"
 #include "obs/obs.hpp"
+#include "oracles.hpp"
 
 namespace cps::net {
 namespace {
@@ -200,12 +201,11 @@ TEST(MessageBus, DeadNodesNeitherSendNorReceive) {
 
   bus.broadcast(0, 10);
   bus.broadcast(1, 20);  // Dropped: dead sender.
-  bus.step();
+  bus.step(oracle::in_range_receivers(bus));
   EXPECT_TRUE(bus.inbox(1).empty());          // Dead receiver.
   ASSERT_EQ(bus.inbox(2).size(), 1u);         // Only node 0's message.
   EXPECT_EQ(bus.inbox(2)[0].from, 0u);
   EXPECT_EQ(bus.total_broadcasts(), 1u);      // Dead sends don't count.
-  EXPECT_EQ(bus.neighbors_of(0), (std::vector<NodeId>{2}));
 }
 
 TEST(MessageBus, DeathBetweenBroadcastAndStepLosesTheMessage) {
@@ -214,7 +214,7 @@ TEST(MessageBus, DeathBetweenBroadcastAndStepLosesTheMessage) {
   bus.set_position(1, {5.0, 0.0});
   bus.broadcast(0, 7);
   bus.set_alive(0, false);  // Dies with the message in flight.
-  bus.step();
+  bus.step(oracle::in_range_receivers(bus));
   EXPECT_TRUE(bus.inbox(1).empty());
 }
 
@@ -224,11 +224,11 @@ TEST(MessageBus, RevivalRestoresDelivery) {
   bus.set_position(1, {5.0, 0.0});
   bus.set_alive(1, false);
   bus.broadcast(0, 1);
-  bus.step();
+  bus.step(oracle::in_range_receivers(bus));
   EXPECT_TRUE(bus.inbox(1).empty());
   bus.set_alive(1, true);
   bus.broadcast(0, 2);
-  bus.step();
+  bus.step(oracle::in_range_receivers(bus));
   ASSERT_EQ(bus.inbox(1).size(), 1u);
   EXPECT_EQ(bus.inbox(1)[0].message, 2);
 }
@@ -249,7 +249,7 @@ TEST(MessageBus, CustomLinkModelDrivesDelivery) {
   bus.set_position(0, {0.0, 0.0});
   bus.set_position(1, {5.0, 0.0});
   bus.broadcast(0, 1);
-  bus.step();
+  bus.step(oracle::in_range_receivers(bus));
   EXPECT_TRUE(bus.inbox(1).empty());  // Link faded on first use.
   EXPECT_THROW(MessageBus<int>(2, std::unique_ptr<LinkModel>{}),
                std::invalid_argument);
@@ -275,7 +275,7 @@ TEST(MessageBus, DeliveryAndFailureCountersAccountForEveryAttempt) {
   std::size_t received = 0;
   for (int i = 0; i < rounds; ++i) {
     bus.broadcast(0, i);
-    bus.step();
+    bus.step(oracle::in_range_receivers(bus));
     received += bus.inbox(1).size();
   }
   obs::set_enabled(was_enabled);

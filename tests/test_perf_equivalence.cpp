@@ -1,30 +1,40 @@
-// Bit-identity tests for the fast paths introduced by the perf PRs:
+// Bit-identity tests for the fast paths against brute-force references:
 //
-//  * FRA's indexed decrease-key heap engine vs the full lattice scan,
-//    across every deterministic SelectionMeasure, both foresight modes,
-//    and k from 10 to 2000 on fig5/fig6-style configs — including the
-//    parked-entry affordability protocol and the storm-compaction
-//    (flat-scan / Floyd-rebuild) transitions;
-//  * the grid-pruned MessageBus vs the all-pairs probe, for all three
-//    link models, under mid-run churn, at 1 and 4 worker threads;
-//  * the per-model no-draw pruning contract the grid path relies on;
+//  * FRA's indexed decrease-key heap (with its storm-mode flat argmax)
+//    vs a greedy FRA that rescores every candidate each iteration and
+//    takes the first maximum in lattice order, across every
+//    deterministic SelectionMeasure, both foresight modes, and k from 10
+//    to 2000 — including the parked-entry affordability protocol and the
+//    storm-compaction (flat-scan / Floyd-rebuild) transitions;
+//  * MessageBus delivery over core::ShardGrid's tile matching vs an
+//    all-pairs probe that calls transmit() on every ordered pair, for
+//    every link model, under position and liveness churn, at 1 and 4
+//    worker threads;
+//  * the per-model no-draw contract matched delivery relies on;
 //  * a hard-coded golden for SelectionMeasure::kRandom pinning the
 //    incremental free-list to the draw schedule of the original
 //    rebuild-the-pool implementation (seed stability).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "core/cma.hpp"
+#include "core/cma_sharding.hpp"
+#include "core/curvature.hpp"
 #include "core/fra.hpp"
 #include "field/analytic_fields.hpp"
-#include "field/time_varying.hpp"
-#include "net/fault.hpp"
+#include "geometry/delaunay.hpp"
+#include "graph/relay.hpp"
+#include "graph/union_find.hpp"
 #include "net/link_model.hpp"
 #include "net/message_bus.hpp"
+#include "numerics/rng.hpp"
 #include "obs/obs.hpp"
 #include "parallel/thread_pool.hpp"
 
@@ -34,7 +44,7 @@ namespace {
 const num::Rect kRegion{0.0, 0.0, 100.0, 100.0};
 constexpr double kRc = 10.0;
 
-// --- FRA: heap engine vs scan engine -------------------------------------
+// --- FRA: indexed heap vs brute-force greedy -----------------------------
 
 /// A fig5/fig6-like reference surface: smooth trend plus sharp plateaus,
 /// so local error, curvature, and their product all rank candidates
@@ -46,24 +56,164 @@ field::AnalyticField reference_surface() {
   });
 }
 
-core::FraResult plan_with_engine(core::SelectionEngine engine,
-                                 core::SelectionMeasure measure,
-                                 bool foresight, std::size_t k) {
+/// Greedy FRA with a brute-force argmax.  Every iteration rescores every
+/// unused lattice candidate from scratch and takes the first maximum in
+/// lattice order (score desc, index asc) among the candidates the
+/// foresight budget can afford.  Triangle bookkeeping follows Table 1's
+/// Garland–Heckbert rule — a candidate displaced by an insertion moves to
+/// the first new triangle that contains it — because that choice fixes
+/// the interpolated bits of points on shared edges; nothing of the
+/// planner's selection heap is reused.
+core::FraResult brute_force_fra(const field::Field& f,
+                                const core::FraConfig& cfg,
+                                const core::PlanRequest& req) {
+  using core::SelectionMeasure;
+  struct Cand {
+    geo::Vec2 pos;
+    double f = 0.0;
+    double curvature = 0.0;
+    int tri = -1;
+    bool used = false;
+    double dist = std::numeric_limits<double>::infinity();  // To the net.
+  };
+  geo::Delaunay dt(req.region);
+  for (int c = 0; c < geo::Delaunay::kCorners; ++c) {
+    dt.set_vertex_z(c, f.value(dt.vertex(c).pos));
+  }
+  const std::size_t n = cfg.error_grid;
+  const double dx = req.region.width() / static_cast<double>(n - 1);
+  const double dy = req.region.height() / static_cast<double>(n - 1);
+  std::vector<double> xs(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    xs[i] = req.region.x0 + static_cast<double>(i) * dx;
+  }
+  const bool curved = cfg.measure == SelectionMeasure::kCurvature ||
+                      cfg.measure == SelectionMeasure::kProduct;
+  const core::CurvatureEstimator estimator(cfg.curvature_radius);
+  std::vector<Cand> cands(n * n);
+  std::vector<double> row(n);
+  int hint = -1;
+  for (std::size_t j = 0; j < n; ++j) {
+    const double y = req.region.y0 + static_cast<double>(j) * dy;
+    f.value_row(y, xs, row.data());
+    for (std::size_t i = 0; i < n; ++i) {
+      Cand& c = cands[j * n + i];
+      c.pos = {xs[i], y};
+      c.f = row[i];
+      hint = dt.locate_from(c.pos, hint);
+      c.tri = hint;
+      if (curved) c.curvature = std::abs(estimator.gaussian_at(f, c.pos));
+      for (int v = 0; v < geo::Delaunay::kCorners; ++v) {
+        if (geo::distance(c.pos, dt.vertex(v).pos) < 1e-6 * std::min(dx, dy)) {
+          c.used = true;
+        }
+      }
+    }
+  }
+  const auto score = [&](const Cand& c) {
+    const auto& t = dt.triangle(c.tri);
+    const double error = std::abs(
+        c.f - geo::interpolate_linear(dt.triangle_geometry(c.tri),
+                                      dt.vertex(t.v[0]).z, dt.vertex(t.v[1]).z,
+                                      dt.vertex(t.v[2]).z, c.pos));
+    return cfg.measure == SelectionMeasure::kLocalError ? error
+           : cfg.measure == SelectionMeasure::kCurvature
+               ? c.curvature
+               : error * c.curvature;
+  };
+
+  core::FraResult out;
+  std::vector<geo::Vec2>& selected = out.deployment.positions;
+  graph::UnionFind net(req.k);
+  std::size_t components = 0;
+  const auto add = [&](geo::Vec2 p, double z, double s, bool relay) {
+    const geo::InsertResult ins = dt.insert(p, z);
+    for (Cand& c : cands) {
+      if (std::find(ins.removed_triangles.begin(), ins.removed_triangles.end(),
+                    c.tri) == ins.removed_triangles.end()) {
+        continue;
+      }
+      c.tri = -1;
+      for (const int fresh : ins.created_triangles) {
+        if (dt.triangle_geometry(fresh).contains(c.pos)) {
+          c.tri = fresh;
+          break;
+        }
+      }
+      if (c.tri == -1) c.tri = dt.locate(c.pos);
+    }
+    for (Cand& c : cands) c.dist = std::min(c.dist, geo::distance(c.pos, p));
+    ++components;
+    for (std::size_t j = 0; j < selected.size(); ++j) {
+      if (geo::distance_sq(selected[j], p) <= req.rc * req.rc &&
+          net.unite(selected.size(), j)) {
+        --components;
+      }
+    }
+    selected.push_back(p);
+    out.steps.push_back(core::FraStep{p, s, relay});
+    if (relay) ++out.relay_count;
+  };
+  const auto place_relays = [&](std::size_t budget,
+                                const graph::RelayPlan& plan) {
+    const std::size_t count = std::min(budget, plan.count);
+    for (std::size_t r = 0; r < count; ++r) {
+      add(plan.positions[r], f.value(plan.positions[r]), 0.0, true);
+    }
+    return count;
+  };
+
+  while (selected.size() < req.k) {
+    const bool priced = cfg.foresight && !selected.empty();
+    std::size_t budget = req.k;
+    graph::RelayPlan plan;
+    if (priced) {
+      const std::size_t remaining = req.k - selected.size();
+      if (components > 1) plan = graph::plan_relays(selected, req.rc);
+      if (plan.count >= remaining) {
+        place_relays(remaining, plan);
+        break;
+      }
+      budget = remaining - 1 - plan.count;
+    }
+    std::size_t best = cands.size();
+    double best_score = -1.0;
+    for (std::size_t ci = 0; ci < cands.size(); ++ci) {
+      const Cand& c = cands[ci];
+      if (c.used) continue;
+      if (priced && c.dist > req.rc &&
+          graph::relays_for_gap(c.dist, req.rc) > budget) {
+        continue;
+      }
+      const double s = score(c);
+      if (s > best_score) {
+        best_score = s;
+        best = ci;
+      }
+    }
+    if (best == cands.size()) {
+      if (priced && place_relays(req.k - selected.size(), plan) > 0) continue;
+      break;
+    }
+    cands[best].used = true;
+    add(cands[best].pos, cands[best].f, best_score, false);
+  }
+  return out;
+}
+
+core::FraConfig fra_config(core::SelectionMeasure measure, bool foresight) {
   core::FraConfig cfg;  // error_grid = 100, the paper's lattice.
-  cfg.selection_engine = engine;
   cfg.measure = measure;
   cfg.foresight = foresight;
-  const auto f = reference_surface();
-  return core::FraPlanner(cfg).plan_detailed(
-      f, core::PlanRequest{kRegion, k, kRc});
+  return cfg;
 }
 
 void expect_identical(const core::FraResult& a, const core::FraResult& b) {
   ASSERT_EQ(a.steps.size(), b.steps.size());
   EXPECT_EQ(a.relay_count, b.relay_count);
   for (std::size_t i = 0; i < a.steps.size(); ++i) {
-    // Exact equality: the engines must make the same choice, not merely
-    // equally good ones.
+    // Exact equality: the heap must make the same choice as the greedy
+    // reference, not merely an equally good one.
     EXPECT_EQ(a.steps[i].position.x, b.steps[i].position.x) << "step " << i;
     EXPECT_EQ(a.steps[i].position.y, b.steps[i].position.y) << "step " << i;
     EXPECT_EQ(a.steps[i].score, b.steps[i].score) << "step " << i;
@@ -76,7 +226,15 @@ void expect_identical(const core::FraResult& a, const core::FraResult& b) {
   }
 }
 
-TEST(FraEngineEquivalence, HeapMatchesScanAcrossMeasuresAndForesight) {
+/// The planner and the brute-force reference on the same inputs.
+void expect_matches_reference(const core::FraConfig& cfg,
+                              const core::PlanRequest& request) {
+  const auto f = reference_surface();
+  expect_identical(core::FraPlanner(cfg).plan_detailed(f, request),
+                   brute_force_fra(f, cfg, request));
+}
+
+TEST(FraHeapEquivalence, MatchesBruteForceAcrossMeasuresAndForesight) {
   using core::SelectionMeasure;
   for (const SelectionMeasure measure :
        {SelectionMeasure::kLocalError, SelectionMeasure::kCurvature,
@@ -86,72 +244,62 @@ TEST(FraEngineEquivalence, HeapMatchesScanAcrossMeasuresAndForesight) {
         SCOPED_TRACE("measure=" + std::to_string(static_cast<int>(measure)) +
                      " foresight=" + std::to_string(foresight) +
                      " k=" + std::to_string(k));
-        expect_identical(plan_with_engine(core::SelectionEngine::kHeap,
-                                          measure, foresight, k),
-                         plan_with_engine(core::SelectionEngine::kScan,
-                                          measure, foresight, k));
+        expect_matches_reference(fra_config(measure, foresight),
+                                 core::PlanRequest{kRegion, k, kRc});
       }
     }
   }
 }
 
-TEST(FraEngineEquivalence, HeapMatchesScanAcrossKRange) {
-  // The k sweep the indexed engine has to win everywhere: small plans
-  // where the lazy-deletion heap used to lose to the scan, the paper's
-  // canonical k = 100, and the large-k regime the heap was built for.
-  // Identity is the acceptance bar; speed is gated by bench_perf.
+TEST(FraHeapEquivalence, MatchesBruteForceAcrossKRange) {
+  // Small plans, the paper's canonical k = 100, and the large-k regime
+  // the heap was built for.  Identity is the acceptance bar.
   for (const std::size_t k :
        {std::size_t{10}, std::size_t{100}, std::size_t{500},
         std::size_t{2000}}) {
     SCOPED_TRACE("k=" + std::to_string(k));
-    expect_identical(
-        plan_with_engine(core::SelectionEngine::kHeap,
-                         core::SelectionMeasure::kProduct, true, k),
-        plan_with_engine(core::SelectionEngine::kScan,
-                         core::SelectionMeasure::kProduct, true, k));
+    expect_matches_reference(
+        fra_config(core::SelectionMeasure::kProduct, true),
+        core::PlanRequest{kRegion, k, kRc});
   }
 }
 
-TEST(FraEngineEquivalence, ParkedEntriesAreRestoredAcrossIterations) {
+TEST(FraHeapEquivalence, ParkedEntriesAreRestoredAcrossIterations) {
   // A tight relay budget (rc = 6, k = 30, foresight on) makes the heap's
   // top pops unaffordable in some iterations: those entries are parked
   // and must be re-inserted after the selection, or they would vanish
   // from later iterations where the budget would have admitted them.
-  core::FraConfig cfg;
-  cfg.foresight = true;
-  const auto f = reference_surface();
+  const core::FraConfig cfg =
+      fra_config(core::SelectionMeasure::kLocalError, true);
   const core::PlanRequest request{kRegion, 30, 6.0};
 
   obs::set_enabled(true);
   obs::registry().reset();
-  cfg.selection_engine = core::SelectionEngine::kHeap;
+  const auto f = reference_surface();
   const auto heap = core::FraPlanner(cfg).plan_detailed(f, request);
   const auto parked =
       obs::registry().counter("core.fra.heap_parked").value();
-  cfg.selection_engine = core::SelectionEngine::kScan;
-  const auto scan = core::FraPlanner(cfg).plan_detailed(f, request);
 
   // The config must actually exercise the parking protocol, and the
   // restore must keep the heap bit-identical to the affordability-aware
-  // scan oracle.
+  // greedy reference.
   EXPECT_GT(parked, 0u);
-  expect_identical(heap, scan);
+  expect_identical(heap, brute_force_fra(f, cfg, request));
 }
 
-TEST(FraEngineEquivalence, StormCompactionSurvivesRebucketFlood) {
+TEST(FraHeapEquivalence, StormCompactionSurvivesRebucketFlood) {
   // Early k = 100 iterations on a coarse triangulation rebucket most of
   // the lattice per insert: displacement crosses the storm threshold, the
   // heap drops to flat argmax scans, and once inserts displace little it
   // compacts back via a Floyd rebuild.  Both transitions must happen and
   // neither may perturb a single selection.
-  core::FraConfig cfg;
-  cfg.foresight = true;
-  const auto f = reference_surface();
+  const core::FraConfig cfg =
+      fra_config(core::SelectionMeasure::kLocalError, true);
   const core::PlanRequest request{kRegion, 100, kRc};
 
   obs::set_enabled(true);
   obs::registry().reset();
-  cfg.selection_engine = core::SelectionEngine::kHeap;
+  const auto f = reference_surface();
   const auto heap = core::FraPlanner(cfg).plan_detailed(f, request);
   const auto flat_scans =
       obs::registry().counter("core.fra.heap_flat_scans").value();
@@ -159,22 +307,11 @@ TEST(FraEngineEquivalence, StormCompactionSurvivesRebucketFlood) {
       obs::registry().counter("core.fra.heap_rebuilds").value();
   const auto stale =
       obs::registry().counter("core.fra.heap_stale_pops").value();
-  cfg.selection_engine = core::SelectionEngine::kScan;
-  const auto scan = core::FraPlanner(cfg).plan_detailed(f, request);
 
   EXPECT_GT(flat_scans, 0u);   // Storm mode engaged...
   EXPECT_GT(rebuilds, 0u);     // ...and compacted back out of it.
   EXPECT_EQ(stale, 0u);        // Indexed heap: stale pops are impossible.
-  expect_identical(heap, scan);
-}
-
-TEST(FraEngineEquivalence, RandomMeasureIgnoresEngine) {
-  // kRandom has its own incremental free-list; the engine knob must not
-  // perturb its draw schedule.
-  expect_identical(plan_with_engine(core::SelectionEngine::kHeap,
-                                    core::SelectionMeasure::kRandom, true, 40),
-                   plan_with_engine(core::SelectionEngine::kScan,
-                                    core::SelectionMeasure::kRandom, true, 40));
+  expect_identical(heap, brute_force_fra(f, cfg, request));
 }
 
 // --- FRA: kRandom golden (seed stability across the free-list rewrite) ---
@@ -274,10 +411,11 @@ TEST(FraRandomGolden, ForesightOffSequenceIsStable) {
   expect_matches_golden(result, golden);
 }
 
-// --- MessageBus: grid-pruned vs all-pairs delivery ------------------------
+// --- MessageBus: tile-matched vs all-pairs delivery ------------------------
 
 std::unique_ptr<net::LinkModel> make_link(const std::string& model,
                                           double rc, std::uint64_t seed) {
+  if (model == "disk0") return std::make_unique<net::DiskLink>(rc, 0.0, seed);
   if (model == "disk") return std::make_unique<net::DiskLink>(rc, 0.3, seed);
   if (model == "distloss")
     return std::make_unique<net::DistanceLossLink>(rc, 0.8, 2.0, seed);
@@ -285,107 +423,94 @@ std::unique_ptr<net::LinkModel> make_link(const std::string& model,
       rc, net::GilbertElliottLink::Params{}, seed);
 }
 
-field::StaticTimeField cma_env() {
-  return field::StaticTimeField(std::make_shared<field::AnalyticField>(
-      [](double x, double y) {
-        return 10.0 + 0.05 * x * y / 100.0 + 3.0 * (x > 40 && x < 60) +
-               2.0 * (y > 20 && y < 50);
-      }));
-}
-
-struct CmaRun {
-  std::vector<geo::Vec2> positions;
-  std::uint64_t deliveries = 0;
-  std::uint64_t failures = 0;
-  std::uint64_t sent = 0;
-};
-
-/// Runs CMA under a PR 3-style churn schedule with the given bus mode and
-/// link model, returning trajectories plus the delivery counters.
-CmaRun run_cma(const std::string& model, net::DeliveryMode mode) {
-  const auto env = cma_env();
-  core::CmaConfig cfg;
-  cfg.rc = kRc * 1.0001;
-  cfg.lcm = core::LcmMode::kPaper;
-  const std::size_t n = 80;
-  core::CmaSimulation sim(
-      env, kRegion, core::GridPlanner::make_grid(kRegion, n).positions, cfg);
-  sim.set_link_model(make_link(model, cfg.rc, /*seed=*/17));
-  sim.set_delivery_mode(mode);
-  sim.set_fault_schedule(
-      net::FaultSchedule::random_deaths(n, 0.3, 2, 15, /*seed=*/5));
-
-  obs::set_enabled(true);
-  obs::registry().reset();
-  sim.run(25);
-
-  CmaRun out;
-  out.positions = sim.positions();
-  out.deliveries = obs::registry().counter("net.bus.deliveries").value();
-  out.failures =
-      obs::registry().counter("net.bus.delivery_failures").value();
-  out.sent = obs::registry().counter("net.bus.messages_sent").value();
-  return out;
-}
-
-void expect_same_run(const CmaRun& grid, const CmaRun& full) {
-  EXPECT_EQ(grid.deliveries, full.deliveries);
-  EXPECT_EQ(grid.failures, full.failures);
-  EXPECT_EQ(grid.sent, full.sent);
-  ASSERT_EQ(grid.positions.size(), full.positions.size());
-  for (std::size_t i = 0; i < grid.positions.size(); ++i) {
-    EXPECT_EQ(grid.positions[i].x, full.positions[i].x) << "node " << i;
-    EXPECT_EQ(grid.positions[i].y, full.positions[i].y) << "node " << i;
-  }
-}
-
-TEST(BusDeliveryEquivalence, GridMatchesFullUnderChurnAllModels) {
+TEST(BusDeliveryEquivalence, MatchedDeliveryMatchesAllPairsUnderChurn) {
+  constexpr std::size_t kNodes = 80;
+  constexpr std::size_t kSlots = 10;
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     par::set_thread_count(threads);
-    for (const std::string model : {"disk", "distloss", "gilbert"}) {
-      SCOPED_TRACE("threads=" + std::to_string(threads) + " model=" + model);
-      expect_same_run(run_cma(model, net::DeliveryMode::kGrid),
-                      run_cma(model, net::DeliveryMode::kFull));
+    for (const std::string model : {"disk0", "disk", "distloss", "gilbert"}) {
+      for (const double tile : {12.0, 30.0, 1000.0}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads) + " model=" +
+                     model + " tile=" + std::to_string(tile));
+        obs::set_enabled(true);
+        obs::registry().reset();
+        net::MessageBus<int> bus(kNodes, make_link(model, kRc, 17));
+        const auto reference_link = make_link(model, kRc, 17);
+        core::ShardGrid grid(kRegion, tile, kRc);
+        num::Rng rng(5);
+        std::vector<geo::Vec2> pos(kNodes);
+        std::vector<char> alive(kNodes, 1);
+        for (geo::Vec2& p : pos) {
+          p = {rng.uniform(0.0, 100.0), rng.uniform(0.0, 100.0)};
+        }
+        std::uint64_t delivered = 0, lost = 0, out_of_range = 0;
+        for (std::size_t slot = 0; slot < kSlots; ++slot) {
+          // Churn: every node drifts, some die or revive.
+          for (std::size_t i = 0; i < kNodes; ++i) {
+            pos[i].x = std::clamp(pos[i].x + rng.uniform(-3.0, 3.0), 0.0, 100.0);
+            pos[i].y = std::clamp(pos[i].y + rng.uniform(-3.0, 3.0), 0.0, 100.0);
+            bus.set_position(i, pos[i]);
+            if (slot > 0 && rng.bernoulli(0.1)) {
+              alive[i] = alive[i] ? 0 : 1;
+              bus.set_alive(i, alive[i] != 0);
+            }
+          }
+          for (std::size_t i = 0; i < kNodes; ++i) {
+            bus.broadcast(i, static_cast<int>(slot * 1000 + i));
+          }
+          // The reference: transmit() on every ordered pair of living
+          // nodes, senders in broadcast order, receivers ascending.
+          std::vector<std::vector<std::pair<net::NodeId, int>>> want(kNodes);
+          std::size_t living = 0;
+          for (const char a : alive) living += a != 0;
+          for (std::size_t from = 0; from < kNodes; ++from) {
+            if (!alive[from]) continue;
+            std::uint64_t sent = 0, failed = 0;
+            for (std::size_t to = 0; to < kNodes; ++to) {
+              if (to == from || !alive[to]) continue;
+              if (reference_link->transmit(from, to, pos[from], pos[to])) {
+                want[to].emplace_back(from, static_cast<int>(slot * 1000 + from));
+                ++sent;
+              } else if (reference_link->in_range(pos[from], pos[to])) {
+                ++failed;
+              }
+            }
+            delivered += sent;
+            lost += failed;
+            out_of_range += living - 1 - sent - failed;
+          }
+          grid.prepare(pos, alive, bus.link());
+          bus.step([&](net::NodeId from) { return grid.receivers_of(from); });
+          for (std::size_t to = 0; to < kNodes; ++to) {
+            const auto& inbox = bus.inbox(to);
+            ASSERT_EQ(inbox.size(), want[to].size())
+                << "slot " << slot << " receiver " << to;
+            for (std::size_t m = 0; m < inbox.size(); ++m) {
+              EXPECT_EQ(inbox[m].from, want[to][m].first);
+              EXPECT_EQ(inbox[m].message, want[to][m].second);
+            }
+          }
+        }
+#if defined(CPS_OBS_ENABLED)
+        EXPECT_EQ(obs::counter("net.bus.deliveries").value(), delivered);
+        EXPECT_EQ(obs::counter("net.bus.delivery_failures").value(), lost);
+        EXPECT_EQ(obs::counter("net.bus.drop.out_of_range").value(),
+                  out_of_range);
+#endif
+        obs::set_enabled(false);
+      }
     }
   }
   par::set_thread_count(1);
 }
 
-TEST(BusDeliveryEquivalence, NeighborsOfMatchesFullAfterChurn) {
-  net::MessageBus<int> grid_bus(30, net::DiskRadio(kRc, 0.0, 1));
-  net::MessageBus<int> full_bus(30, net::DiskRadio(kRc, 0.0, 1));
-  grid_bus.set_delivery_mode(net::DeliveryMode::kGrid);
-  full_bus.set_delivery_mode(net::DeliveryMode::kFull);
-  for (std::size_t i = 0; i < 30; ++i) {
-    const geo::Vec2 p{static_cast<double>((i * 37) % 100),
-                      static_cast<double>((i * 61) % 100)};
-    grid_bus.set_position(i, p);
-    full_bus.set_position(i, p);
-  }
-  for (const std::size_t dead : {std::size_t{3}, std::size_t{11}}) {
-    grid_bus.set_alive(dead, false);
-    full_bus.set_alive(dead, false);
-  }
-  for (std::size_t i = 0; i < 30; ++i) {
-    EXPECT_EQ(grid_bus.neighbors_of(i), full_bus.neighbors_of(i))
-        << "node " << i;
-  }
-}
-
-// --- LinkModel: the no-draw pruning contract ------------------------------
-
-TEST(LinkModelContract, MaxRangeCoversRadius) {
-  for (const std::string model : {"disk", "distloss", "gilbert"}) {
-    const auto link = make_link(model, kRc, 1);
-    EXPECT_GE(link->max_range(), link->radius()) << model;
-  }
-}
+// --- LinkModel: the no-draw contract ---------------------------------------
 
 // Two equal-seeded copies of each model run the same in-range attempt
 // sequence, but one is additionally peppered with out-of-range attempts.
 // If transmit() consumed randomness (or advanced per-link state) on an
-// out-of-range pair, the in-range outcome streams would diverge — and the
-// grid-pruned bus would not be bit-identical to the all-pairs probe.
+// out-of-range pair, the in-range outcome streams would diverge — and
+// matched delivery would not be bit-identical to the all-pairs probe.
 TEST(LinkModelContract, OutOfRangeAttemptsConsumeNoRandomness) {
   for (const std::string model : {"disk", "distloss", "gilbert"}) {
     SCOPED_TRACE(model);
