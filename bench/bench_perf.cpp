@@ -1230,9 +1230,7 @@ int main(int argc, char** argv) {
   // the service's determinism contract (DESIGN.md §15) excludes armed
   // concurrent batches.
   {
-#if defined(CPS_OBS_ENABLED)
     obs::timeline().set_armed(false);
-#endif
     const std::size_t prev_threads = par::thread_count();
     const ServiceMix mix = make_service_mix(
         quick,
@@ -1316,9 +1314,7 @@ int main(int argc, char** argv) {
       service_runs.emplace_back(t, std::move(service), sobs);
     }
     par::set_thread_count(prev_threads);
-#if defined(CPS_OBS_ENABLED)
     obs::timeline().set_armed(true);
-#endif
     write_service_sidecar(bench::output_dir() + "/perf_service_metrics.json",
                           quick ? "quick" : "full", service_runs);
   }

@@ -82,13 +82,10 @@ class ObsSession {
     obs::set_enabled(true);
     obs::registry().reset();
     obs::trace().clear();
-#if defined(CPS_OBS_ENABLED)
-    // Arm only in instrumented builds: an armed timeline switches the
-    // delta reductions onto the chunk-pinned path, and obs-off benches
-    // must keep the seed-identical serial shortcut.
+    // Arming changes no arithmetic; in obs-off builds the sample macros
+    // are compiled out, so the timeline stays empty.
     obs::timeline().clear();
     obs::timeline().set_armed(true);
-#endif
   }
 
   ObsSession(const ObsSession&) = delete;

@@ -21,23 +21,6 @@
 namespace cps::core {
 namespace {
 
-// Row-sweep reduction of the raster sweep.  While the telemetry timeline
-// is armed the chunk layout is pinned at every thread count
-// (parallel_reduce_chunked) so the annotated δ, the fallback-locate
-// counters, and therefore the timeline JSONL are bit-identical across
-// --threads values; disarmed runs keep parallel_reduce's serial shortcut,
-// bit-identical to the original serial evaluation.
-template <typename Map>
-double reduce_rows(std::size_t n, Map&& map) {
-  const auto combine = [](double a, double b) { return a + b; };
-  if (obs::timeline().armed()) {
-    return par::parallel_reduce_chunked(n, 0.0, std::forward<Map>(map),
-                                        combine, /*grain=*/4);
-  }
-  return par::parallel_reduce(n, 0.0, std::forward<Map>(map), combine,
-                              /*grain=*/4);
-}
-
 // RowSpan, TriangleSoA, strictly_inside, and the span-emission guard
 // formulas moved to core/delta_detail.hpp so the incremental engine shares
 // the raster's exact arithmetic (the bit-identity contract).
@@ -95,8 +78,13 @@ DeltaMetric::DeltaMetric(const num::Rect& region, std::size_t resolution)
     : region_(region),
       resolution_(resolution),
       cache_(std::make_unique<RefCache>()) {
-  if (region.width() <= 0.0 || region.height() <= 0.0) {
-    throw std::invalid_argument("DeltaMetric: empty region");
+  // A finite positive extent also rules out NaN and infinite bounds,
+  // which would reach the lattice index casts as UB.
+  const auto positive_finite = [](double d) {
+    return d > 0.0 && std::isfinite(d);
+  };
+  if (!positive_finite(region.width()) || !positive_finite(region.height())) {
+    throw std::invalid_argument("DeltaMetric: empty or non-finite region");
   }
   if (resolution == 0) throw std::invalid_argument("DeltaMetric: resolution");
 }
@@ -191,7 +179,7 @@ DeltaMetric::cached_reference_lattice(const field::Field& reference,
           CPS_COUNT("core.delta.batch_rows", 1);
         }
       },
-      /*grain=*/4);
+      detail::kChunkRows);
   const std::lock_guard<std::mutex> lock(shard.mutex);
   // A racing fill may have inserted the same key meanwhile; reuse it so
   // every caller shares one buffer.
@@ -269,8 +257,8 @@ double DeltaMetric::delta_raster(const field::Field& reference,
   }
   CPS_COUNT("core.delta.raster_spans", spans_emitted);
 
-  return reduce_rows(
-      resolution_,
+  return par::parallel_reduce(
+      resolution_, 0.0,
       [&](std::size_t row_begin, std::size_t row_end) {
         double s = 0.0;
         int hint = -1;
@@ -358,7 +346,8 @@ double DeltaMetric::delta_raster(const field::Field& reference,
         CPS_COUNT("core.delta.raster_fast_assigns", fast);
         CPS_COUNT("core.delta.raster_fallback_locates", fallback);
         return s;
-      });
+      },
+      [](double a, double b) { return a + b; }, detail::kChunkRows);
 }
 
 std::shared_ptr<const std::vector<double>> DeltaMetric::reference_lattice(
@@ -378,7 +367,7 @@ std::shared_ptr<const std::vector<double>> DeltaMetric::reference_lattice(
           CPS_COUNT("core.delta.batch_rows", 1);
         }
       },
-      /*grain=*/4);
+      detail::kChunkRows);
   return rows;
 }
 
@@ -428,7 +417,7 @@ double DeltaMetric::delta_between(const field::Field& a,
         }
         return s;
       },
-      [](double a_, double b_) { return a_ + b_; }, /*grain=*/4);
+      [](double a_, double b_) { return a_ + b_; }, detail::kChunkRows);
   return sum * lat.hx() * lat.hy();
 }
 

@@ -38,7 +38,8 @@ class DeltaMetric {
   /// resolution^2 doubles (80 KB at the canonical 100 x 100 lattice).
   static constexpr std::size_t kDefaultReferenceCacheCapacity = 8;
 
-  /// Throws std::invalid_argument for an empty region or zero resolution.
+  /// Throws std::invalid_argument for an empty or non-finite region or a
+  /// zero resolution.
   DeltaMetric(const num::Rect& region, std::size_t resolution = 100);
   ~DeltaMetric();
 

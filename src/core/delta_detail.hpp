@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <utility>
@@ -24,6 +25,13 @@
 #include "numerics/quadrature.hpp"
 
 namespace cps::core::detail {
+
+/// Lattice rows per reduction chunk.  The raster sweep folds each chunk
+/// serially in point order (the locate hint restarts at every chunk head)
+/// and combines chunk partials in ascending order, at every pool size;
+/// the tracker and the test-side walk reference replay that layout to
+/// reproduce the sweep's bits.
+inline constexpr std::size_t kChunkRows = 4;
 
 /// One triangle's column interval on one lattice row (inclusive, with a
 /// one-column conservative guard on each end — precision only affects how

@@ -7,7 +7,6 @@
 
 #include "core/delta_detail.hpp"
 #include "obs/obs.hpp"
-#include "parallel/thread_pool.hpp"
 
 namespace cps::core {
 
@@ -23,17 +22,17 @@ IncrementalDelta::IncrementalDelta(const DeltaMetric& metric,
 }
 
 bool IncrementalDelta::chunk_first(std::size_t k) const noexcept {
-  return k % (chunk_rows_ * res_) == 0;
+  return k % (detail::kChunkRows * res_) == 0;
 }
 
 std::size_t IncrementalDelta::chunk_of(std::size_t k) const noexcept {
-  return k / (chunk_rows_ * res_);
+  return k / (detail::kChunkRows * res_);
 }
 
 void IncrementalDelta::refold_chunk(std::size_t c) {
-  const std::size_t begin = c * chunk_rows_ * res_;
+  const std::size_t begin = c * detail::kChunkRows * res_;
   const std::size_t end =
-      std::min(begin + chunk_rows_ * res_, res_ * res_);
+      std::min(begin + detail::kChunkRows * res_, res_ * res_);
   // Serial point-order fold of |ref - DT|: the rounding sequence is the
   // bit-identity contract (per-point deltas do not recompose under
   // re-association), and std::abs of the stored phase-2 value is exact,
@@ -47,13 +46,9 @@ void IncrementalDelta::refold_chunk(std::size_t c) {
 }
 
 void IncrementalDelta::rebuild(const geo::Delaunay& dt) {
-  // Capture the reduce_rows chunk layout: grain-4 row chunks whenever the
-  // armed timeline pins the layout or the pool would split the sweep, the
-  // single serial chain otherwise (core/delta.cpp's reduce_rows).
-  chunked_ = obs::timeline().armed() || par::thread_count() > 1;
-  chunk_rows_ = chunked_ ? 4 : res_;
   const std::size_t n = res_ * res_;
-  const std::size_t chunks = (res_ + chunk_rows_ - 1) / chunk_rows_;
+  const std::size_t chunks =
+      (res_ + detail::kChunkRows - 1) / detail::kChunkRows;
   assign_.assign(n, -1);
   strict_.assign(n, 0);
   interp_.assign(n, 0.0);
@@ -96,8 +91,9 @@ void IncrementalDelta::rebuild(const geo::Delaunay& dt) {
   const std::span<const double> xs = lat_.xs();
   std::vector<detail::RowSpan> active;
   for (std::size_t row_begin = 0; row_begin < res_;
-       row_begin += chunk_rows_) {
-    const std::size_t row_end = std::min(row_begin + chunk_rows_, res_);
+       row_begin += detail::kChunkRows) {
+    const std::size_t row_end =
+        std::min(row_begin + detail::kChunkRows, res_);
     int hint = -1;
     for (std::size_t j = row_begin; j < row_end; ++j) {
       const double y = lat_.y(j);
@@ -142,13 +138,11 @@ void IncrementalDelta::rebuild(const geo::Delaunay& dt) {
             soa.zc[slot], soa.total[slot], p.x, y);
       }
     }
-    refold_chunk(row_begin / chunk_rows_);
+    refold_chunk(row_begin / detail::kChunkRows);
   }
   ++stats_.rebuilds;
   CPS_COUNT("core.delta.inc_rebuilds", 1);
 }
-
-void IncrementalDelta::rebase(const geo::Delaunay& dt) { rebuild(dt); }
 
 void IncrementalDelta::apply_z_updates(const geo::Delaunay& dt,
                                        const std::vector<int>& star_triangles) {
@@ -171,8 +165,7 @@ void IncrementalDelta::retarget(const DeltaMetric& metric,
         "IncrementalDelta::retarget: metric lattice mismatch");
   }
   ref_rows_ = metric.reference_lattice(reference);
-  const std::size_t chunks = (res_ + chunk_rows_ - 1) / chunk_rows_;
-  for (std::size_t c = 0; c < chunks; ++c) refold_chunk(c);
+  for (std::size_t c = 0; c < chunk_sums_.size(); ++c) refold_chunk(c);
   ++stats_.retargets;
   CPS_COUNT("core.delta.inc_retargets", 1);
 }
@@ -211,11 +204,10 @@ void IncrementalDelta::process_dirty(const geo::Delaunay& dt,
     // Non-strict points sit on edges/vertices, where assignment is
     // hint-dependent: any upstream change can shift the hint they would
     // be walked with, so they are re-walked on every topology event.
+    // They stay unstamped, so point_epoch_ still tells the points the
+    // event covered apart from them below.
     for (const std::uint32_t k : fallback_) {
-      if (point_epoch_[k] != epoch_) {
-        point_epoch_[k] = epoch_;
-        dirty_points_.push_back(k);
-      }
+      if (point_epoch_[k] != epoch_) dirty_points_.push_back(k);
     }
   }
   // Ascending order: a relocation at k reads assign_[k - 1], which must
@@ -243,10 +235,15 @@ void IncrementalDelta::process_dirty(const geo::Delaunay& dt,
       } else {
         const int hint = chunk_first(k) ? -1 : assign_[k - 1];
         const int tid = dt.locate_from(p, hint);
-        assign_[k] = tid;
-        strict_[k] = detail::strictly_inside(dt, tid, p) ? 1 : 0;
         ++stats_.relocates;
         CPS_COUNT("core.delta.inc_relocates", 1);
+        // A point the event did not cover still lies in its stored
+        // triangle, which was not removed (so its id was not recycled)
+        // and whose vertices kept their z: landing on it again leaves
+        // the contribution, and the point's chunk sum, as they were.
+        if (tid == old_tid && point_epoch_[k] != epoch_) continue;
+        assign_[k] = tid;
+        strict_[k] = detail::strictly_inside(dt, tid, p) ? 1 : 0;
       }
     }
     interp_[k] = detail::interpolate_point(dt, assign_[k], p);

@@ -18,19 +18,16 @@
 //    strictly contains the point (strict containment is unique and
 //    hint-independent), every other dirty point replays locate_from with
 //    the exact hint the fresh sweep would carry (the previous point's
-//    assignment in the captured chunk layout, -1 at a chunk head);
+//    assignment, -1 at a chunk head of detail::kChunkRows rows);
 //  * non-strict (edge/vertex) points are re-walked on EVERY topology
 //    event, dirty region or not — their assignment is hint-dependent, so
-//    staleness is never allowed to accumulate through them;
+//    staleness is never allowed to accumulate through them; one outside
+//    the event's coverage that lands on its stored triangle again keeps
+//    its contribution, and leaves its chunk clean;
 //  * per-point contributions are interpolated through the raster phase-2
 //    expression verbatim (core/delta_detail.hpp), and dirty chunks are
 //    re-folded serially in point order, preserving the sum's rounding
 //    sequence (float addition does not re-associate).
-//
-// The chunk layout (single chunk vs grain-4 row chunks) is captured from
-// the telemetry/thread state at build; rebase() recaptures it.  Change
-// the thread count or arm the timeline mid-stream and value() is
-// comparing against a layout delta() no longer uses — rebase first.
 #pragma once
 
 #include <cstddef>
@@ -58,7 +55,7 @@ class IncrementalDelta {
     std::size_t rows_touched = 0;        ///< Lattice rows containing such cells.
     std::size_t keeps = 0;               ///< Dirty points whose assignment survived.
     std::size_t relocates = 0;           ///< Dirty points re-walked via locate_from.
-    std::size_t rebuilds = 0;            ///< Full sweeps (construction + rebase).
+    std::size_t rebuilds = 0;            ///< Full sweeps (construction).
     std::size_t retargets = 0;           ///< Reference swaps (fold-only passes).
     /// Lattice points one full sweep evaluates (res²): events *
     /// full_sweep_points is what the from-scratch path would have cost.
@@ -103,12 +100,6 @@ class IncrementalDelta {
   /// advances.
   void retarget(const DeltaMetric& metric, const field::Field& reference);
 
-  /// Full re-raster against a (possibly different) triangulation,
-  /// recapturing the chunk layout.  Equivalence tests rebase to
-  /// cross-check the from-scratch path; callers that changed the thread
-  /// count or armed the timeline mid-stream must rebase too.
-  void rebase(const geo::Delaunay& dt);
-
   /// The running δ: ascending fold of the chunk partial sums times the
   /// cell area — exactly DeltaMetric::delta()'s final arithmetic.
   double value() const noexcept;
@@ -135,8 +126,6 @@ class IncrementalDelta {
   std::size_t res_ = 0;
   num::MidpointLattice lat_;
   std::shared_ptr<const std::vector<double>> ref_rows_;
-  bool chunked_ = false;
-  std::size_t chunk_rows_ = 0;  ///< Rows per chunk (res_ when unchunked).
 
   std::vector<int> assign_;        ///< Point -> containing triangle id.
   std::vector<char> strict_;       ///< Point strictly inside assign_?

@@ -12,19 +12,17 @@
 // to the equivalent direct call — Planner::plan for Plan jobs,
 // DeltaMetric::delta_of_deployment for Score jobs, and a fresh
 // DeltaMetric::delta of the identically mutated triangulation for WhatIf
-// jobs — at the same pool size.  This falls out of the pool's nesting
-// rule: a nested region inside a running chunk executes the same fixed
-// chunk layout inline with partials combined in ascending order, which is
-// exactly what the direct top-level call does.  Shared state never feeds
-// back into results: field snapshots are immutable, the sharded reference
-// cache memoizes bit-identical buffers, and each WhatIf job mutates a
-// private copy of the cached base triangulation.  Two rules bound the
-// contract: do not resize the pool while a service instance is alive (a
-// cached base state's IncrementalDelta captured the chunk layout at
-// build), and do not run concurrent batches with the telemetry timeline
-// armed (per-interval counter attribution across concurrent jobs is
-// meaningless; the service's own metrics are timeline-safe — see
-// obs notes below).
+// jobs — at every pool size.  This falls out of the pool's fixed chunk
+// layout: a nested region inside a running chunk executes the same
+// (n, grain) chunks inline with partials combined in ascending order,
+// which is exactly what the direct top-level call does at any pool size.
+// Shared state never feeds back into results: field snapshots are
+// immutable, the sharded reference cache memoizes bit-identical buffers,
+// and each WhatIf job mutates a private copy of the cached base
+// triangulation.  One rule bounds the contract: do not run concurrent
+// batches with the telemetry timeline armed (per-interval counter
+// attribution across concurrent jobs is meaningless; the service's own
+// metrics are timeline-safe — see obs notes below).
 //
 // obs wiring (all under the service.* namespace): service.jobs.*
 // counters are deterministic totals; service.queue.depth is a gauge

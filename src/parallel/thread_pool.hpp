@@ -3,15 +3,13 @@
 // The parallel substrate the ROADMAP's scaling PRs stand on.  Design
 // constraints, in priority order:
 //
-//  * Determinism.  `threads == 1` executes the exact serial loop inline —
-//    bit-identical to uninstrumented serial code, zero pool involvement.
-//    For `threads >= 2`, work is split into chunks whose layout depends
-//    only on the problem size and the grain (never on the thread count),
-//    and parallel_reduce combines per-chunk partials in ascending chunk
-//    order on the calling thread.  A reduction therefore returns the same
-//    bits for every thread count >= 2, and differs from the serial result
-//    only where floating-point association differs (sums; argmax-style
-//    reductions are exact at any thread count).
+//  * Determinism.  Work is split into chunks whose layout depends only
+//    on the problem size and the grain, never on the thread count, and
+//    parallel_reduce combines per-chunk partials in ascending chunk order
+//    on the calling thread.  At threads == 1 the same chunks run inline,
+//    in ascending order.  The pool size only decides who runs each chunk,
+//    so every loop and reduction returns the same bits at every thread
+//    count, 1 included.
 //  * No work stealing, no task graph: one blocking parallel region at a
 //    time, chunks handed out through a single atomic counter.  The calling
 //    thread participates, so `threads == n` means n workers total, not
@@ -99,92 +97,51 @@ inline std::size_t resolve_grain(std::size_t grain) noexcept {
 
 }  // namespace detail
 
-/// Parallel loop: fn(i) for i in [0, n).  `grain` indices per chunk
-/// (default detail::kDefaultGrain).  threads == 1 runs the plain serial
-/// loop inline.
-template <typename Fn>
-void parallel_for(std::size_t n, Fn&& fn, std::size_t grain = 0) {
-  if (n == 0) return;
-  ThreadPool& pool = ThreadPool::process_pool();
-  if (pool.thread_count() == 1) {
-    for (std::size_t i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  const std::size_t g = detail::resolve_grain(grain);
-  const std::size_t chunks = (n + g - 1) / g;
-  pool.run(chunks, [&](std::size_t c) {
-    const std::size_t begin = c * g;
-    const std::size_t end = begin + g < n ? begin + g : n;
-    for (std::size_t i = begin; i < end; ++i) fn(i);
-  });
-}
-
 /// Parallel loop over index ranges: fn(begin, end) per chunk.  Useful when
 /// the body carries chunk-local state (e.g. a point-location hint).
-/// threads == 1 runs fn(0, n) inline — the exact serial pass.
 template <typename Fn>
 void parallel_for_chunks(std::size_t n, Fn&& fn, std::size_t grain = 0) {
   if (n == 0) return;
-  ThreadPool& pool = ThreadPool::process_pool();
-  if (pool.thread_count() == 1) {
-    fn(std::size_t{0}, n);
-    return;
-  }
   const std::size_t g = detail::resolve_grain(grain);
   const std::size_t chunks = (n + g - 1) / g;
-  pool.run(chunks, [&](std::size_t c) {
+  ThreadPool::process_pool().run(chunks, [&](std::size_t c) {
     const std::size_t begin = c * g;
     fn(begin, begin + g < n ? begin + g : n);
   });
 }
 
+/// Parallel loop: fn(i) for i in [0, n).  `grain` indices per chunk
+/// (default detail::kDefaultGrain).
+template <typename Fn>
+void parallel_for(std::size_t n, Fn&& fn, std::size_t grain = 0) {
+  parallel_for_chunks(
+      n,
+      [&](std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i) fn(i);
+      },
+      grain);
+}
+
 /// Ordered parallel reduction.  `map(begin, end)` folds one chunk
 /// serially; partials are combined as combine(acc, partial) in ascending
-/// chunk order on the calling thread — deterministic for every thread
-/// count.  threads == 1 computes combine(identity, map(0, n)) inline.
+/// chunk order on the calling thread — the same bits at every thread
+/// count.
 template <typename T, typename Map, typename Combine>
 T parallel_reduce(std::size_t n, T identity, Map&& map, Combine&& combine,
                   std::size_t grain = 0) {
   if (n == 0) return identity;
-  ThreadPool& pool = ThreadPool::process_pool();
-  if (pool.thread_count() == 1) {
-    return combine(std::move(identity), map(std::size_t{0}, n));
-  }
   const std::size_t g = detail::resolve_grain(grain);
   const std::size_t chunks = (n + g - 1) / g;
   std::vector<T> partial(chunks, identity);
-  pool.run(chunks, [&](std::size_t c) {
-    const std::size_t begin = c * g;
-    partial[c] = map(begin, begin + g < n ? begin + g : n);
-  });
+  parallel_for_chunks(
+      n,
+      [&](std::size_t begin, std::size_t end) {
+        partial[begin / g] = map(begin, end);
+      },
+      g);
   T acc = std::move(identity);
   for (std::size_t c = 0; c < chunks; ++c) {
     acc = combine(std::move(acc), std::move(partial[c]));
-  }
-  return acc;
-}
-
-/// parallel_reduce with the chunk layout pinned at EVERY thread count:
-/// threads == 1 folds the same (n, grain) chunks serially in ascending
-/// order instead of taking the single-chain serial shortcut, so the
-/// result — float association, chunk-local state like point-location
-/// hints, and any counters the map records — is bit-identical to every
-/// multithreaded run.  Telemetry paths use this while the timeline is
-/// armed; the plain parallel_reduce serial shortcut stays bit-identical
-/// to the original serial code and remains the default everywhere else.
-template <typename T, typename Map, typename Combine>
-T parallel_reduce_chunked(std::size_t n, T identity, Map&& map,
-                          Combine&& combine, std::size_t grain = 0) {
-  if (n == 0) return identity;
-  ThreadPool& pool = ThreadPool::process_pool();
-  if (pool.thread_count() != 1) {
-    return parallel_reduce(n, std::move(identity), std::forward<Map>(map),
-                           std::forward<Combine>(combine), grain);
-  }
-  const std::size_t g = detail::resolve_grain(grain);
-  T acc = std::move(identity);
-  for (std::size_t begin = 0; begin < n; begin += g) {
-    acc = combine(std::move(acc), map(begin, begin + g < n ? begin + g : n));
   }
   return acc;
 }

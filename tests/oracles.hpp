@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "core/delta.hpp"
+#include "core/delta_detail.hpp"
 #include "field/field.hpp"
 #include "geometry/delaunay.hpp"
 #include "geometry/triangle.hpp"
@@ -24,8 +25,8 @@ namespace cps::oracle {
 
 /// δ of `dt` against `reference` on `metric`'s lattice, locating every
 /// point with Delaunay::locate_from seeded by the previous point's
-/// triangle.  Rows are reduced through par::parallel_reduce at grain 4 —
-/// the chunking DeltaMetric uses while the timeline is disarmed — so the
+/// triangle.  Rows are reduced through par::parallel_reduce in chunks of
+/// core::detail::kChunkRows rows — DeltaMetric's chunk layout — so the
 /// walk's hint chain, and therefore the sum, is bitwise comparable with
 /// DeltaMetric::delta at any thread count.
 inline double walk_delta(const core::DeltaMetric& metric,
@@ -52,7 +53,7 @@ inline double walk_delta(const core::DeltaMetric& metric,
         }
         return s;
       },
-      [](double a, double b) { return a + b; }, /*grain=*/4);
+      [](double a, double b) { return a + b; }, core::detail::kChunkRows);
   return sum * lat.hx() * lat.hy();
 }
 

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "core/planner.hpp"
 #include "field/analytic_fields.hpp"
 #include "numerics/rng.hpp"
@@ -16,6 +18,14 @@ TEST(DeltaMetric, Validation) {
   EXPECT_THROW(DeltaMetric(num::Rect{0.0, 0.0, 0.0, 1.0}),
                std::invalid_argument);
   EXPECT_THROW(DeltaMetric(kRegion, 0), std::invalid_argument);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(DeltaMetric(num::Rect{0.0, 0.0, nan, 100.0}),
+               std::invalid_argument);
+  EXPECT_THROW(DeltaMetric(num::Rect{0.0, 0.0, inf, 100.0}),
+               std::invalid_argument);
+  EXPECT_THROW(DeltaMetric(num::Rect{-inf, 0.0, 100.0, 100.0}),
+               std::invalid_argument);
 }
 
 TEST(DeltaMetric, ZeroForExactReconstruction) {

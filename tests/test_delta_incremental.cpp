@@ -11,7 +11,7 @@
 //    DESIGN.md §13 oracle protocol);
 //  * retarget (reference swap) and batched z-update events against the
 //    same oracles;
-//  * rebase after a mid-stream thread-count change;
+//  * a tracker that outlives a mid-stream thread-count change;
 //  * a tracker built from scratch on a reconstruction, across both
 //    corner policies;
 //  * CmaDeltaTracker: per-slot tracked δ bit-identical to a fresh sweep
@@ -226,7 +226,7 @@ TEST(IncrementalDelta, BatchedZUpdatesMatchFreshSweep) {
   EXPECT_EQ(inc.stats().events, 1u);
 }
 
-TEST(IncrementalDelta, RebaseRecapturesChunkLayout) {
+TEST(IncrementalDelta, SurvivesAPoolResizeWithoutRebuilding) {
   ThreadGuard guard;
   const auto f = reference_surface();
   DeltaMetric metric(kRegion, 40);
@@ -241,15 +241,12 @@ TEST(IncrementalDelta, RebaseRecapturesChunkLayout) {
   IncrementalDelta inc(metric, f, dt);
   ASSERT_EQ(inc.value(), metric.delta(f, dt));
 
-  // Changing the worker count changes delta()'s chunk layout; the stored
-  // partial sums are for the old layout, so the tracker must rebase.
+  // The chunk layout does not depend on the pool size, so the partial
+  // sums stored at pool size 1 stay valid at pool size 4.
   par::set_thread_count(4);
-  inc.rebase(dt);
-  EXPECT_EQ(inc.value(), metric.delta(f, dt));
-  EXPECT_EQ(inc.stats().rebuilds, 2u);  // Construction + rebase.
-
   inc.apply(dt, dt.insert({12.0, 87.0}, 4.0));
   EXPECT_EQ(inc.value(), metric.delta(f, dt));
+  EXPECT_EQ(inc.stats().rebuilds, 1u);  // Construction only.
 }
 
 // --- Tracker built from scratch --------------------------------------------

@@ -10,6 +10,7 @@
 #include <cstring>
 #include <numeric>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "geometry/vec2.hpp"
@@ -69,6 +70,30 @@ TEST(ParallelForChunks, ChunksPartitionTheRangeInOrderWithinEachChunk) {
   }
 }
 
+TEST(ParallelForChunks, LayoutDependsOnlyOnSizeAndGrain) {
+  // threads == 1 runs the same (n, grain) chunks as a multithreaded pool,
+  // inline and in ascending order — no single whole-range chunk.
+  const std::size_t n = 1000;
+  std::vector<std::pair<std::size_t, std::size_t>> expected;
+  for (std::size_t b = 0; b < n; b += 37) {
+    expected.emplace_back(b, std::min(b + 37, n));
+  }
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    ThreadScope scope(threads);
+    std::vector<std::pair<std::size_t, std::size_t>> chunks(expected.size());
+    std::atomic<std::size_t> calls{0};
+    parallel_for_chunks(
+        n,
+        [&](std::size_t begin, std::size_t end) {
+          chunks[begin / 37] = {begin, end};
+          calls.fetch_add(1, std::memory_order_relaxed);
+        },
+        /*grain=*/37);
+    EXPECT_EQ(calls.load(), expected.size()) << "threads=" << threads;
+    EXPECT_EQ(chunks, expected) << "threads=" << threads;
+  }
+}
+
 TEST(ParallelReduce, ExactIntegerSumAtEveryThreadCount) {
   const std::size_t n = 12345;
   const std::uint64_t expected = static_cast<std::uint64_t>(n) * (n - 1) / 2;
@@ -86,10 +111,11 @@ TEST(ParallelReduce, ExactIntegerSumAtEveryThreadCount) {
   }
 }
 
-TEST(ParallelReduce, FloatSumBitsIdenticalAcrossMultithreadedCounts) {
+TEST(ParallelReduce, FloatSumBitsIdenticalAtEveryThreadCount) {
   // The chunk layout depends only on (n, grain) and partials combine in
-  // ascending chunk order, so any thread count >= 2 must produce the same
-  // rounding sequence — identical bits, not just close values.
+  // ascending chunk order, so every thread count, 1 included, must
+  // produce the same rounding sequence — identical bits, not just close
+  // values.
   const std::size_t n = 10007;
   const auto run = [&] {
     return parallel_reduce(
@@ -105,7 +131,7 @@ TEST(ParallelReduce, FloatSumBitsIdenticalAcrossMultithreadedCounts) {
   };
   set_thread_count(2);
   const double at2 = run();
-  for (const std::size_t threads : {3u, 4u, 7u}) {
+  for (const std::size_t threads : {1u, 3u, 4u, 7u}) {
     set_thread_count(threads);
     const double at_n = run();
     EXPECT_EQ(std::memcmp(&at2, &at_n, sizeof(double)), 0)

@@ -1,8 +1,8 @@
 // End-to-end determinism contract of the parallel layer: the planners and
-// metrics must produce the same bits at every pool size.  threads = 1 runs
-// the exact serial loops; threads >= 2 chunk by (n, grain) only — never by
-// thread count — and combine partials in chunk order, so any worker count
-// reproduces the same results.
+// metrics must produce the same bits at every pool size.  Work is chunked
+// by (n, grain) only — never by thread count — and partials combine in
+// chunk order; threads = 1 runs the same chunks inline, so any worker
+// count, 1 included, reproduces the same results.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,6 +15,7 @@
 
 #include "core/cma.hpp"
 #include "core/delta.hpp"
+#include "core/delta_incremental.hpp"
 #include "core/fra.hpp"
 #include "core/planner.hpp"
 #include "core/reconstruction.hpp"
@@ -128,7 +129,7 @@ TEST(ParallelDeterminism, GeometricGraphMatchesAllPairsOracle) {
   }
 }
 
-TEST(ParallelDeterminism, DeltaMetricIdenticalAcrossMultithreadedCounts) {
+TEST(ParallelDeterminism, DeltaMetricIdenticalAtEveryThreadCount) {
   const auto f = test_field();
   const DeltaMetric metric(kRegion, 100);
   const auto grid = GridPlanner::make_grid(kRegion, 36);
@@ -140,18 +141,15 @@ TEST(ParallelDeterminism, DeltaMetricIdenticalAcrossMultithreadedCounts) {
   par::set_thread_count(1);
   const double at1 = metric.delta_from_samples(f, samples);
   par::set_thread_count(0);
-  EXPECT_EQ(at2, at4);  // Same chunk layout: same bits.
-  // threads = 1 accumulates in one chain rather than per-chunk partials;
-  // agreement is to rounding, not bits.
-  EXPECT_NEAR(at1, at2, 1e-9 * std::abs(at1));
+  // Same chunk layout at every pool size: same bits.
+  EXPECT_EQ(at2, at4);
+  EXPECT_EQ(at1, at2);
 }
 
-// With the telemetry timeline armed the delta reductions switch onto the
-// chunk-pinned path (par::parallel_reduce_chunked), which folds the SAME
-// chunk layout serially at threads = 1 instead of the single-chain
-// shortcut — so the annotated δ value, and every counter delta the sample
-// carries (walk steps depend on per-chunk hint chains), are bit-identical
-// at EVERY thread count, including 1.
+// Arming the telemetry timeline changes no arithmetic: the annotated δ
+// value, and every counter delta the sample carries (walk steps depend on
+// per-chunk hint chains), are bit-identical at every thread count, and
+// the δ equals the disarmed one.
 TEST(ParallelDeterminism, ArmedTimelineDeltaIdenticalAtEveryThreadCount) {
   const auto f = test_field();
   DeltaMetric metric(kRegion, 100);
@@ -182,6 +180,11 @@ TEST(ParallelDeterminism, ArmedTimelineDeltaIdenticalAtEveryThreadCount) {
     obs::timeline().clear();
   }
   obs::set_enabled(obs_was_enabled);
+  for (const std::size_t threads : {1u, 4u}) {
+    ThreadScope scope(threads);
+    EXPECT_EQ(metric.delta_from_samples(f, samples), values[0])
+        << "disarmed, " << threads << " threads";
+  }
 
   EXPECT_EQ(values[0], values[1]);
   EXPECT_EQ(values[1], values[2]);
@@ -193,17 +196,65 @@ TEST(ParallelDeterminism, ArmedTimelineDeltaIdenticalAtEveryThreadCount) {
 #endif
 }
 
-TEST(ParallelDeterminism, DeltaBetweenIdenticalAcrossMultithreadedCounts) {
+// Every δ the library reports — a fresh sweep, delta_between, a tracker
+// after cavity events and FRA's what-if trajectory — has the same bits at
+// pool sizes 1, 2 and 4, with the timeline armed or disarmed.
+TEST(ParallelDeterminism, DeltaValuesIdenticalAcrossPoolSizesAndArming) {
   const auto f = test_field();
   const field::GaussianMixtureField g(
       0.3, {{{40.0, 40.0}, 2.0, 9.0}, {{60.0, 70.0}, 1.5, 11.0}});
-  const DeltaMetric metric(kRegion, 100);
-  par::set_thread_count(2);
-  const double at2 = metric.delta_between(f, g);
-  par::set_thread_count(5);
-  const double at5 = metric.delta_between(f, g);
-  par::set_thread_count(0);
-  EXPECT_EQ(at2, at5);
+  const DeltaMetric metric(kRegion, 90);
+  const auto samples =
+      take_samples(f, GridPlanner::make_grid(kRegion, 36).positions);
+  FraConfig cfg;
+  cfg.error_grid = 30;
+  cfg.track_delta = &metric;
+
+  struct Run {
+    double delta;
+    double between;
+    double tracked;
+    std::vector<double> trajectory;
+  };
+  const bool obs_was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  std::vector<Run> runs;
+  for (const bool armed : {false, true}) {
+    for (const std::size_t threads : {1u, 2u, 4u}) {
+      ThreadScope scope(threads);
+      obs::timeline().clear();
+      obs::timeline().set_armed(armed);
+      Run run;
+      run.delta = metric.delta_from_samples(f, samples);
+      run.between = metric.delta_between(f, g);
+      geo::Delaunay dt =
+          reconstruct_surface(samples, kRegion, CornerPolicy::kFieldValue, &f);
+      IncrementalDelta inc(metric, f, dt);
+      inc.apply(dt, dt.insert({31.5, 62.25}, f.value({31.5, 62.25})));
+      inc.apply(dt, dt.move_vertex(geo::Delaunay::kCorners + 7, {55.0, 12.5},
+                                   f.value({55.0, 12.5})));
+      inc.apply(dt, dt.remove(geo::Delaunay::kCorners + 20));
+      run.tracked = inc.value();
+      EXPECT_EQ(run.tracked, metric.delta(f, dt))
+          << (armed ? "armed, " : "disarmed, ") << threads << " threads";
+      run.trajectory = FraPlanner(cfg)
+                           .plan_detailed(f, PlanRequest{kRegion, 20, 10.0})
+                           .delta_trajectory;
+      obs::timeline().set_armed(false);
+      obs::timeline().clear();
+      runs.push_back(std::move(run));
+    }
+  }
+  obs::set_enabled(obs_was_enabled);
+
+  ASSERT_FALSE(runs[0].trajectory.empty());
+  for (std::size_t r = 1; r < runs.size(); ++r) {
+    SCOPED_TRACE(r);
+    EXPECT_EQ(runs[r].delta, runs[0].delta);
+    EXPECT_EQ(runs[r].between, runs[0].between);
+    EXPECT_EQ(runs[r].tracked, runs[0].tracked);
+    EXPECT_EQ(runs[r].trajectory, runs[0].trajectory);
+  }
 }
 
 }  // namespace

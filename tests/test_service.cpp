@@ -2,13 +2,14 @@
 // (core/planner_service.hpp).
 //
 // The load-bearing claims: every job result is bit-identical to the
-// equivalent direct call at the same pool size (Score vs
-// DeltaMetric::delta_of_deployment, Plan vs Planner::plan, WhatIf vs a
-// fresh DeltaMetric::delta of the identically mutated triangulation);
-// snapshots and what-if base states are shared, not rebuilt per job; and
-// a failing job reports through its future instead of tearing down the
-// batch.  The equivalence tests run at pool sizes 1 and 4 — CI's
-// service-equivalence leg re-runs them under tsan with CPS_THREADS=4.
+// equivalent direct call (Score vs DeltaMetric::delta_of_deployment, Plan
+// vs Planner::plan, WhatIf vs a fresh DeltaMetric::delta of the
+// identically mutated triangulation) and to the same job at any other
+// pool size; snapshots and what-if base states are shared, not rebuilt
+// per job; and a failing job reports through its future instead of
+// tearing down the batch.  The equivalence tests run at pool sizes 1 and
+// 4 — CI's service-equivalence leg re-runs them under tsan with
+// CPS_THREADS=4.
 #include <gtest/gtest.h>
 
 #include <future>
@@ -156,6 +157,81 @@ TEST(PlannerService, WhatIfMatchesFreshDeltaOfMutatedSurface) {
       EXPECT_EQ(r.delta, metric.delta(*field, dt));
     }
   }
+}
+
+/// One Score, Plan and WhatIf job of each kind through `service`, in
+/// submission order.
+std::vector<JobResult> run_job_mix(PlannerService& service,
+                                   const std::shared_ptr<const field::Field>&
+                                       field) {
+  const auto snapshot = service.intern(field);
+  const auto base = std::make_shared<Deployment>(
+      RandomPlanner(3).plan(*field, {kRegion, 25, 10.0}));
+  std::vector<std::future<JobResult>> futures;
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    futures.push_back(service.submit(ScoreJob{
+        snapshot, RandomPlanner(seed).plan(*field, {kRegion, 20 + seed, 10.0}),
+        kRegion, kRes}));
+  }
+  futures.push_back(service.submit(PlanJob{
+      snapshot, PlannerKind::kFra, {kRegion, 15, 10.0, /*lattice=*/40},
+      /*score_resolution=*/kRes}));
+  futures.push_back(service.submit(PlanJob{
+      snapshot, PlannerKind::kRandom, {kRegion, 30, 10.0, 0, /*seed=*/7},
+      /*score_resolution=*/kRes}));
+  futures.push_back(service.submit(PlanJob{
+      snapshot, PlannerKind::kFarthestPoint,
+      {kRegion, 25, 10.0, /*lattice=*/30}, /*score_resolution=*/kRes}));
+  futures.push_back(service.submit(PlanJob{
+      snapshot, PlannerKind::kGrid, {kRegion, 24, 10.0},
+      /*score_resolution=*/kRes}));
+  futures.push_back(service.submit(WhatIfJob{
+      snapshot, base, WhatIfJob::Op::kMove, 3, {12.25, 47.5}, kRegion, kRes}));
+  futures.push_back(service.submit(WhatIfJob{
+      snapshot, base, WhatIfJob::Op::kInsert, 0, {71.5, 23.25}, kRegion,
+      kRes}));
+  futures.push_back(service.submit(WhatIfJob{
+      snapshot, base, WhatIfJob::Op::kRemove, 5, {0.0, 0.0}, kRegion, kRes}));
+  std::vector<JobResult> results;
+  for (auto& f : futures) results.push_back(f.get());
+  return results;
+}
+
+void expect_same_results(const std::vector<JobResult>& a,
+                         const std::vector<JobResult>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    SCOPED_TRACE(i);
+    ASSERT_TRUE(a[i].ok) << a[i].error;
+    ASSERT_TRUE(b[i].ok) << b[i].error;
+    EXPECT_EQ(a[i].delta, b[i].delta);
+    EXPECT_EQ(a[i].deployment.positions, b[i].deployment.positions);
+  }
+}
+
+TEST(PlannerService, ResultsIdenticalAcrossPoolSizes) {
+  const auto field = make_field();
+  std::vector<JobResult> at1;
+  std::vector<JobResult> resized;
+  std::vector<JobResult> at4;
+  {
+    // The second round runs at pool size 4 on base states (and their
+    // IncrementalDelta trackers) cached at pool size 1.
+    PoolGuard pool(1);
+    PlannerService service;
+    at1 = run_job_mix(service, field);
+    service.wait_idle();
+    par::set_thread_count(4);
+    resized = run_job_mix(service, field);
+    EXPECT_EQ(service.stats().base_state_misses, 1u);
+  }
+  {
+    PoolGuard pool(4);
+    PlannerService service;
+    at4 = run_job_mix(service, field);
+  }
+  expect_same_results(at1, at4);
+  expect_same_results(resized, at4);
 }
 
 TEST(PlannerService, BaseStateIsBuiltOnceAndShared) {
