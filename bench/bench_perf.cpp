@@ -1,52 +1,23 @@
-// Perf-trajectory harness: the one binary that records the algorithmic
-// work and wall time of each production hot path.
-//
-// Sweeps
-//   * FRA planning at k in {100, 500, 2000} (quick: {50, 100, 200}) with
-//     the indexed selection heap,
-//   * CMA at N in {100, 400, 1000} nodes (quick: {60, 150}) for 200 slots
-//     (quick: 50) under each link model (disk / distance-loss /
-//     Gilbert-Elliott),
-//   * CMA at N = 10000 (quick: 2000) on a constant-density region
-//     (side = sqrt(N / 0.1), the paper's ~0.1 nodes/m^2), where the tile
-//     count grows with N,
-//   * delta evaluation of one FRA deployment at resolution 256, the
-//     cavity-local tracker over the same plan, and a fig10-style sweep of
-//     several deployments against one frame with the reference-lattice
-//     cache on,
-//   * a planner-service job mix — the same deterministic Score / Plan /
-//     WhatIf jobs submitted to a PlannerService at pool sizes 1 and 4 AND
-//     run as a serial loop of direct calls (fresh full re-sweep per
-//     what-if) — bit-identical deltas and deployments required, with
-//     throughput (jobs/s), per-job latency percentiles, and a paired-ratio
-//     `speedup_vs_serial`,
-// and emits BENCH_perf.json with wall times AND the algorithmic counters
-// (transmit attempts per slot, candidates examined per iteration, MST
-// recomputes, heap pushes / stale pops, tile matching pairs, point
-// locations, batched rows, reference-cache hits), plus a `machine` block
-// (hardware threads, CPS_THREADS, pool size, build stamps) so the perf
-// trajectory is comparable across runners.
-//
-// The counters — not the wall times — are the primary regression signal:
-// they are deterministic, thread-count independent, and machine
-// independent, so a checked-in BENCH_baseline.json can gate CI (--check
-// fails on any counter more than 10% above baseline) without flaking on
-// noisy runners.  Wall time is gated too, but coarsely: each record is
-// repeat-sampled (--repeats, default 3) and the exact order-statistic
-// p50/p99 over the retained samples must stay under baseline * band, with
-// multiplicative bands (stored in the baseline's `latency_gate`) chosen
-// to absorb runner noise — the latency gate catches order-of-magnitude
-// blowups, not percent-level drift.  --check additionally enforces the
-// absolute gates of kGates (check_against_baseline) on derived values.
-//
-// The in-bench equivalence checks (tracked vs swept δ, cached vs uncached
-// δ, service vs direct calls) exit non-zero on any bit difference.
-//
-// Flags: --quick (CI-sized sweep), --out PATH (default BENCH_perf.json),
-// --check BASELINE.json (compare counters + latency percentiles),
-// --repeats N (latency samples per record, default 3), --threads N.
+// Perf-trajectory harness: records the algorithmic work of each
+// production hot path as deterministic counters and gates it exactly.
+// It sweeps FRA planning (k in {100, 500, 2000}; quick {50, 100, 200}),
+// CMA under each link model (N in {100, 400, 1000} for 200 slots; quick
+// {60, 150} for 50) and at constant density (N = 10000; quick 2000),
+// δ evaluation (one raster sweep at resolution 256, the cavity-local
+// tracker over the same FRA plan, a reference-cached multi-deployment
+// sweep), and one deterministic Score / Plan / WhatIf job mix through a
+// PlannerService at pool sizes 1 and 4.  With obs compiled in (the
+// default build), each record's counters and derived values are the same
+// bits at every pool size and on every machine, so `--check BASELINE.json` fails on any value that differs
+// from the baseline in either direction, on any record or key present on
+// one side only, and on the absolute bounds of kGates; a moved counter
+// needs a baseline regeneration in the same change.  The in-bench
+// equivalence checks (tracked vs swept δ, cached vs uncached δ, service
+// at each pool size vs one serial loop of direct calls) exit non-zero on
+// any bit difference.  Wall time is measured by perfbench/, not here.
+// Flags: --quick, --out PATH (default BENCH_perf.json), --check
+// BASELINE.json, --threads N.
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -56,9 +27,9 @@
 #include <future>
 #include <map>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -79,31 +50,12 @@ namespace {
 
 using namespace cps;
 
-// One sweep point: an id, a wall time, the raw counters that describe the
-// algorithmic work done, and a few derived per-unit rates for reading.
+// One sweep point: an id, the raw counters that describe the algorithmic
+// work done, and a few derived per-unit rates for reading.
 struct Record {
   std::string id;
-  double wall_ms = 0.0;
   std::vector<std::pair<std::string, std::uint64_t>> counters;
   std::vector<std::pair<std::string, double>> derived;
-
-  /// Wall-time distribution over the --repeats runs of this record.
-  /// Percentiles are exact order statistics over the retained samples —
-  /// with n this small (the --repeats count) a bucketed estimator is the
-  /// wrong tool: obs::Histogram's power-of-two buckets can move a
-  /// 3-sample p50 by ~2x between identical runs.  The histogram remains
-  /// the estimator for the telemetry timeline and the service layer,
-  /// which stream unbounded sample counts and cannot retain them.
-  struct Latency {
-    std::uint64_t samples = 0;
-    double p50_ms = 0.0;
-    double p90_ms = 0.0;
-    double p99_ms = 0.0;
-    double mean_ms = 0.0;
-    double min_ms = 0.0;
-    double max_ms = 0.0;
-  };
-  Latency latency;
 
   std::uint64_t counter(const std::string& name) const {
     for (const auto& [n, v] : counters)
@@ -118,87 +70,14 @@ struct Record {
   }
 };
 
-/// Nearest-rank order statistic over sorted samples: the smallest sample
-/// with at least a q fraction of the distribution at or below it
-/// (rank = ceil(q * n), clamped to [1, n]).  Exact for any n.
-double exact_quantile(const std::vector<double>& sorted, double q) {
-  const std::size_t n = sorted.size();
-  const std::size_t rank = static_cast<std::size_t>(
-      std::ceil(q * static_cast<double>(n)));
-  return sorted[std::min(n - 1, rank == 0 ? 0 : rank - 1)];
-}
-
-/// Sorts the retained samples into a record's exact percentile summary.
-void finalize_latency(Record& rec, std::vector<double> samples) {
-  double sum = 0.0;
-  for (const double s : samples) sum += s;
-  std::sort(samples.begin(), samples.end());
-  rec.latency.samples = samples.size();
-  rec.latency.p50_ms = exact_quantile(samples, 0.5);
-  rec.latency.p90_ms = exact_quantile(samples, 0.9);
-  rec.latency.p99_ms = exact_quantile(samples, 0.99);
-  rec.latency.mean_ms = sum / static_cast<double>(samples.size());
-  rec.latency.min_ms = samples.front();
-  rec.latency.max_ms = samples.back();
-}
-
-// Runs one record builder `repeats` times, retaining every run's wall
-// time; keeps the last run's counters/outputs (they are deterministic, so
-// every repeat agrees) and attaches the exact percentile summary.
-template <typename F>
-Record timed_repeat(std::size_t repeats, F&& run_once) {
-  std::vector<double> samples;
-  samples.reserve(repeats);
-  // One untimed warmup run per record: cold caches and page faults
-  // otherwise land in the first sample's percentiles.
-  Record rec = run_once();
-  for (std::size_t r = 0; r < repeats; ++r) {
-    rec = run_once();
-    samples.push_back(rec.wall_ms);
-  }
-  finalize_latency(rec, std::move(samples));
-  return rec;
-}
-
-// A/B variant for the service-vs-serial pair: interleaves the two
-// builders' samples (a, b, a, b, ...) after one warmup each, so both see
-// the same machine epoch.  Block ordering (all of A, then all of B) lets
-// slow drift — frequency ramps, allocator growth across a long bench —
-// bias whichever block runs first.  `pair_ratios` receives b_i / a_i per
-// repeat: adjacent samples share an epoch, so the median of those paired
-// ratios estimates the A-vs-B margin with the drift cancelled — much
-// tighter than the ratio of independent p50s.
-template <typename FA, typename FB>
-std::pair<Record, Record> timed_repeat_pair(std::size_t repeats, FA&& run_a,
-                                            FB&& run_b,
-                                            std::vector<double>& pair_ratios) {
-  std::vector<double> sa, sb;
-  sa.reserve(repeats);
-  sb.reserve(repeats);
-  Record ra = run_a();
-  Record rb = run_b();
-  for (std::size_t r = 0; r < repeats; ++r) {
-    ra = run_a();
-    sa.push_back(ra.wall_ms);
-    rb = run_b();
-    sb.push_back(rb.wall_ms);
-  }
-  for (std::size_t r = 0; r < repeats; ++r) {
-    pair_ratios.push_back(sa[r] == 0.0 ? 0.0 : sb[r] / sa[r]);
-  }
-  finalize_latency(ra, std::move(sa));
-  finalize_latency(rb, std::move(sb));
-  return {std::move(ra), std::move(rb)};
-}
-
 std::uint64_t cval(const char* name) {
   return obs::registry().counter(name).value();
 }
 
-double now_ms() {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
+/// Copies the named registry counters into `rec`, in list order.
+template <std::size_t N>
+void read_counters(Record& rec, const char* const (&names)[N]) {
+  for (const char* name : names) rec.counters.emplace_back(name, cval(name));
 }
 
 double ratio(double num, double den) { return den == 0.0 ? 0.0 : num / den; }
@@ -212,24 +91,20 @@ Record run_fra(const field::Field& frame, std::size_t k) {
   core::FraPlanner planner;  // error_grid = 100, the paper's lattice.
 
   obs::registry().reset();
-  const double t0 = now_ms();
   planner.plan(frame, core::PlanRequest{bench::kRegion, k, bench::kRc});
-  rec.wall_ms = now_ms() - t0;
 
-  for (const char* name :
-       {"core.fra.iterations", "core.fra.candidates_scanned",
-        "core.fra.heap_pushes", "core.fra.heap_pops",
-        "core.fra.heap_updates", "core.fra.heap_rebuilds",
-        "core.fra.heap_flat_scans", "core.fra.heap_stale_pops",
-        "core.fra.heap_parked", "core.fra.candidates_rebucketed",
-        "core.fra.mst_recomputes", "core.fra.foresight_triggers",
-        "graph.relay.mst_recomputes"}) {
-    rec.counters.emplace_back(name, cval(name));
-  }
+  read_counters(rec, {"core.fra.iterations", "core.fra.candidates_scanned",
+                      "core.fra.heap_pushes", "core.fra.heap_pops",
+                      "core.fra.heap_updates", "core.fra.heap_rebuilds",
+                      "core.fra.heap_flat_scans", "core.fra.heap_stale_pops",
+                      "core.fra.heap_parked",
+                      "core.fra.candidates_rebucketed",
+                      "core.fra.mst_recomputes",
+                      "core.fra.foresight_triggers",
+                      "graph.relay.mst_recomputes"});
 
   // Candidates examined per selection: what the heap popped plus what its
-  // storm-mode flat scans swept (candidates_scanned).  Deterministic, so
-  // --check gates it exactly (kGates).
+  // storm-mode flat scans swept (candidates_scanned).
   const double iters =
       static_cast<double>(std::max<std::uint64_t>(1, cval("core.fra.iterations")));
   rec.derived.emplace_back(
@@ -249,6 +124,14 @@ Record run_fra(const field::Field& frame, std::size_t k) {
 }
 
 // --- CMA sweep -----------------------------------------------------------
+
+// Bus delivery counters, read by both CMA sweeps.
+constexpr const char* kBusCounters[] = {
+    "net.bus.transmit_attempts",   "net.bus.deliveries",
+    "net.bus.delivery_failures",   "net.bus.messages_sent",
+    "net.bus.drops_total",         "net.bus.drop.dead_sender",
+    "net.bus.drop.dead_receiver",  "net.bus.drop.out_of_range",
+    "net.bus.drop.link_loss_draw", "net.bus.drop.ttl_expired"};
 
 std::unique_ptr<net::LinkModel> make_link(const std::string& model,
                                           double rc) {
@@ -275,18 +158,9 @@ Record run_cma(const field::TimeVaryingField& env, std::size_t n,
   sim.set_link_model(make_link(model, cfg.rc));
 
   obs::registry().reset();
-  const double t0 = now_ms();
   sim.run(slots);
-  rec.wall_ms = now_ms() - t0;
 
-  for (const char* name :
-       {"net.bus.transmit_attempts", "net.bus.deliveries",
-        "net.bus.delivery_failures", "net.bus.messages_sent",
-        "net.bus.drops_total", "net.bus.drop.dead_sender",
-        "net.bus.drop.dead_receiver", "net.bus.drop.out_of_range",
-        "net.bus.drop.link_loss_draw", "net.bus.drop.ttl_expired"}) {
-    rec.counters.emplace_back(name, cval(name));
-  }
+  read_counters(rec, kBusCounters);
   rec.derived.emplace_back(
       "attempts_per_slot",
       static_cast<double>(cval("net.bus.transmit_attempts")) /
@@ -342,20 +216,12 @@ Record run_cma_density(const field::TimeVaryingField& env,
   sim.set_link_model(make_link("disk", cfg.rc));
 
   obs::registry().reset();
-  const double t0 = now_ms();
   sim.run(slots);
-  rec.wall_ms = now_ms() - t0;
 
-  for (const char* name :
-       {"net.bus.transmit_attempts", "net.bus.deliveries",
-        "net.bus.delivery_failures", "net.bus.messages_sent",
-        "net.bus.drops_total", "net.bus.drop.dead_sender",
-        "net.bus.drop.dead_receiver", "net.bus.drop.out_of_range",
-        "net.bus.drop.link_loss_draw", "net.bus.drop.ttl_expired",
-        "core.cma.shard.migrations", "core.cma.shard.ghost_exchanged",
-        "core.cma.shard.match_pairs"}) {
-    rec.counters.emplace_back(name, cval(name));
-  }
+  read_counters(rec, kBusCounters);
+  read_counters(rec, {"core.cma.shard.migrations",
+                      "core.cma.shard.ghost_exchanged",
+                      "core.cma.shard.match_pairs"});
   rec.derived.emplace_back(
       "attempts_per_slot",
       static_cast<double>(cval("net.bus.transmit_attempts")) /
@@ -381,18 +247,14 @@ Record run_delta_eval(const field::Field& frame,
   core::DeltaMetric metric(bench::kRegion, resolution);
 
   obs::registry().reset();
-  const double t0 = now_ms();
   delta_out = metric.delta_of_deployment(frame, positions,
                                          core::CornerPolicy::kFieldValue);
-  rec.wall_ms = now_ms() - t0;
 
-  for (const char* name :
-       {"geometry.delaunay.locates", "geometry.delaunay.walk_steps",
-        "core.delta.batch_rows", "core.delta.raster_spans",
-        "core.delta.raster_fast_assigns",
-        "core.delta.raster_fallback_locates"}) {
-    rec.counters.emplace_back(name, cval(name));
-  }
+  read_counters(rec, {"geometry.delaunay.locates",
+                      "geometry.delaunay.walk_steps", "core.delta.batch_rows",
+                      "core.delta.raster_spans",
+                      "core.delta.raster_fast_assigns",
+                      "core.delta.raster_fallback_locates"});
   const double points =
       static_cast<double>(resolution) * static_cast<double>(resolution);
   rec.derived.emplace_back(
@@ -419,20 +281,16 @@ Record run_delta_incremental(const field::Field& frame, std::size_t k,
   core::FraPlanner planner(cfg);
 
   obs::registry().reset();
-  const double t0 = now_ms();
   const core::FraResult result = planner.plan_detailed(
       frame, core::PlanRequest{bench::kRegion, k, bench::kRc});
-  rec.wall_ms = now_ms() - t0;
   delta_out = result.final_delta;
   positions_out = result.deployment.positions;
 
-  for (const char* name :
-       {"core.delta.inc_events", "core.delta.inc_points",
-        "core.delta.inc_rows", "core.delta.inc_keep_assigns",
-        "core.delta.inc_relocates", "core.delta.inc_rebuilds",
-        "core.delta.inc_retargets", "geometry.delaunay.locates"}) {
-    rec.counters.emplace_back(name, cval(name));
-  }
+  read_counters(rec, {"core.delta.inc_events", "core.delta.inc_points",
+                      "core.delta.inc_rows", "core.delta.inc_keep_assigns",
+                      "core.delta.inc_relocates", "core.delta.inc_rebuilds",
+                      "core.delta.inc_retargets",
+                      "geometry.delaunay.locates"});
 
   const auto& ds = result.delta_stats;
   const double events =
@@ -462,19 +320,14 @@ Record run_delta_refcache_sweep(
   metric.set_reference_cache_capacity(8);
 
   obs::registry().reset();
-  const double t0 = now_ms();
-  deltas_out.clear();
   for (const auto& positions : deployments) {
     deltas_out.push_back(metric.delta_of_deployment(
         frame, positions, core::CornerPolicy::kFieldValue));
   }
-  rec.wall_ms = now_ms() - t0;
 
-  for (const char* name :
-       {"core.delta.ref_cache_hits", "core.delta.ref_cache_misses",
-        "core.delta.batch_rows", "geometry.delaunay.locates"}) {
-    rec.counters.emplace_back(name, cval(name));
-  }
+  read_counters(rec, {"core.delta.ref_cache_hits",
+                      "core.delta.ref_cache_misses", "core.delta.batch_rows",
+                      "geometry.delaunay.locates"});
   rec.derived.emplace_back(
       "hit_ratio",
       ratio(static_cast<double>(cval("core.delta.ref_cache_hits")),
@@ -485,16 +338,15 @@ Record run_delta_refcache_sweep(
 
 // --- Service mix ---------------------------------------------------------
 
-// One deterministic job mix, submitted twice per thread count: through the
-// PlannerService (run_service_mix) and as a serial loop of the equivalent
-// direct calls (run_serial_mix).  The serial loop is both the throughput
-// baseline and the bit-identity oracle: Score jobs against
+// One deterministic job mix, submitted through the PlannerService at each
+// pool size (run_service_mix) and run once as a serial loop of the
+// equivalent direct calls (run_serial_mix).  The serial loop is the
+// bit-identity oracle: Score jobs against
 // DeltaMetric::delta_of_deployment, Plan jobs against Planner::plan, and
 // WhatIf jobs against a fresh DeltaMetric::delta of the identically
-// mutated base triangulation — the full re-sweep the service's
-// cavity-local IncrementalDelta path must match bit-for-bit and beat
-// structurally (O(changed area) vs O(lattice) per query), which is why
-// the speedup gate holds even on a single-core runner.
+// mutated base triangulation.  It is also the cost the service is gated
+// against: one full lattice sweep per job, where the service's what-ifs
+// re-evaluate only the lattice points their event changed.
 struct ServiceMix {
   std::shared_ptr<const field::Field> field;
   std::shared_ptr<const core::Deployment> base;  ///< what-if base.
@@ -577,24 +429,15 @@ ServiceMix make_service_mix(bool quick,
   return mix;
 }
 
-/// Per-job-type duration histogram summary captured from the obs registry
-/// at the end of a service run (the serial half of the pair resets the
-/// registry, so this must be read inside run_service_mix).
-struct ServiceObs {
-  struct HistSummary {
-    std::uint64_t count = 0;
-    double p50_us = 0.0, p90_us = 0.0, p99_us = 0.0, mean_us = 0.0;
-  };
-  HistSummary hists[3];  // score, plan, whatif — kServiceHistNames order.
+/// What one pass over the mix returns: every job's δ in submission order,
+/// and the positions each Plan job selected.
+struct MixOutputs {
+  std::vector<double> deltas;
+  std::vector<std::vector<geo::Vec2>> plans;
 };
 
-constexpr const char* kServiceHistNames[3] = {
-    "service.job.score_us", "service.job.plan_us", "service.job.whatif_us"};
-
 Record run_service_mix(const ServiceMix& mix, std::size_t threads,
-                       std::vector<double>& deltas_out,
-                       std::vector<std::vector<geo::Vec2>>& plans_out,
-                       bool& all_ok, ServiceObs& sobs) {
+                       MixOutputs& out, int& failures) {
   Record rec;
   rec.id = "service.mix.t" + std::to_string(threads);
 
@@ -605,7 +448,6 @@ Record run_service_mix(const ServiceMix& mix, std::size_t threads,
   // deterministically, instead of racing inside the first batch.
   service.prewarm(snapshot, bench::kRegion, bench::kDeltaResolution);
 
-  const double t0 = now_ms();
   std::vector<std::future<core::JobResult>> futures;
   futures.reserve(mix.total());
   for (const auto& d : mix.scores) {
@@ -623,72 +465,56 @@ Record run_service_mix(const ServiceMix& mix, std::size_t threads,
                         bench::kRegion, bench::kDeltaResolution}));
   }
 
-  deltas_out.clear();
-  plans_out.clear();
-  all_ok = true;
-  std::vector<double> job_latencies;
-  job_latencies.reserve(futures.size());
   for (std::size_t i = 0; i < futures.size(); ++i) {
     const core::JobResult r = futures[i].get();
     if (!r.ok) {
-      std::fprintf(stderr, "%s: job %zu failed: %s\n", rec.id.c_str(), i,
-                   r.error.c_str());
-      all_ok = false;
+      std::fprintf(stderr, "EQUIVALENCE FAILURE %s: job %zu failed: %s\n",
+                   rec.id.c_str(), i, r.error.c_str());
+      ++failures;
     }
-    deltas_out.push_back(r.delta);
+    out.deltas.push_back(r.delta);
     if (i >= mix.scores.size() &&
         i < mix.scores.size() + mix.plans.size()) {
-      plans_out.push_back(r.deployment.positions);
+      out.plans.push_back(r.deployment.positions);
     }
-    job_latencies.push_back(r.latency_ms);
   }
-  rec.wall_ms = now_ms() - t0;
 
-  for (const char* name :
-       {"service.jobs.submitted", "service.jobs.completed",
-        "service.jobs.score", "service.jobs.plan", "service.jobs.whatif",
-        "service.snapshot.hits", "service.snapshot.misses",
-        "service.base_state.hits", "service.base_state.misses",
-        "core.delta.ref_cache_hits", "core.delta.ref_cache_misses",
-        "core.delta.inc_events", "core.delta.inc_points"}) {
-    rec.counters.emplace_back(name, cval(name));
-  }
+  read_counters(rec, {"service.jobs.submitted", "service.jobs.completed",
+                      "service.jobs.score", "service.jobs.plan",
+                      "service.jobs.whatif", "service.snapshot.hits",
+                      "service.snapshot.misses", "service.base_state.hits",
+                      "service.base_state.misses",
+                      "core.delta.ref_cache_hits",
+                      "core.delta.ref_cache_misses", "core.delta.inc_events",
+                      "core.delta.inc_points"});
+  // Lattice points δ-evaluated: the serial loop sweeps the whole lattice
+  // once per job; the service sweeps it once per score, per plan and per
+  // what-if base state it builds, and each what-if re-evaluates only the
+  // inc_points its event changed.  Counted, not timed, so the ratio is
+  // the same at every pool size and on every machine.
+  const double lattice = static_cast<double>(bench::kDeltaResolution *
+                                             bench::kDeltaResolution);
+  const double full_sweeps = static_cast<double>(
+      rec.counter("service.jobs.score") + rec.counter("service.jobs.plan") +
+      rec.counter("service.base_state.misses"));
   rec.derived.emplace_back(
-      "throughput_jps",
-      ratio(static_cast<double>(mix.total()), rec.wall_ms / 1000.0));
-  std::sort(job_latencies.begin(), job_latencies.end());
-  rec.derived.emplace_back("job_latency_p50_ms",
-                           exact_quantile(job_latencies, 0.5));
-  rec.derived.emplace_back("job_latency_p99_ms",
-                           exact_quantile(job_latencies, 0.99));
-
-  for (std::size_t h = 0; h < 3; ++h) {
-    const obs::Histogram& hist =
-        obs::registry().duration_histogram(kServiceHistNames[h]);
-    sobs.hists[h].count = hist.count();
-    sobs.hists[h].p50_us = hist.quantile(0.5);
-    sobs.hists[h].p90_us = hist.quantile(0.9);
-    sobs.hists[h].p99_us = hist.quantile(0.99);
-    sobs.hists[h].mean_us = hist.mean();
-  }
+      "lattice_point_ratio",
+      ratio(static_cast<double>(mix.total()) * lattice,
+            full_sweeps * lattice +
+                static_cast<double>(rec.counter("core.delta.inc_points"))));
   return rec;
 }
 
-Record run_serial_mix(const ServiceMix& mix, std::size_t threads,
-                      std::vector<double>& deltas_out,
-                      std::vector<std::vector<geo::Vec2>>& plans_out) {
+Record run_serial_mix(const ServiceMix& mix, MixOutputs& out) {
   Record rec;
-  rec.id = "service.mix.t" + std::to_string(threads) + ".serial";
+  rec.id = "service.mix.serial";
 
   obs::registry().reset();
   core::DeltaMetric metric(bench::kRegion, bench::kDeltaResolution);
   metric.reference_lattice(*mix.field);  // Same prewarm as the service.
 
-  const double t0 = now_ms();
-  deltas_out.clear();
-  plans_out.clear();
   for (const auto& d : mix.scores) {
-    deltas_out.push_back(metric.delta_of_deployment(
+    out.deltas.push_back(metric.delta_of_deployment(
         *mix.field, d.positions, core::CornerPolicy::kFieldValue));
   }
   for (const auto& [kind, request] : mix.plans) {
@@ -707,13 +533,12 @@ Record run_serial_mix(const ServiceMix& mix, std::size_t threads,
         d = core::FarthestPointPlanner().plan(*mix.field, request);
         break;
     }
-    deltas_out.push_back(metric.delta_of_deployment(
+    out.deltas.push_back(metric.delta_of_deployment(
         *mix.field, d.positions, core::CornerPolicy::kFieldValue));
-    plans_out.push_back(std::move(d.positions));
+    out.plans.push_back(std::move(d.positions));
   }
   // What-ifs the pre-service way: copy the base triangulation, mutate,
-  // full re-sweep.  This is the oracle protocol (DESIGN.md §13/§15) and
-  // the cost model the service's incremental path is gated against.
+  // full re-sweep.  This is the oracle protocol (DESIGN.md §13/§15).
   const auto samples = core::take_samples(*mix.field, mix.base->positions);
   const geo::Delaunay dt_base = core::reconstruct_surface(
       samples, bench::kRegion, core::CornerPolicy::kFieldValue,
@@ -732,67 +557,13 @@ Record run_serial_mix(const ServiceMix& mix, std::size_t threads,
         dt.remove(geo::Delaunay::kCorners + w.node);
         break;
     }
-    deltas_out.push_back(metric.delta(*mix.field, dt));
+    out.deltas.push_back(metric.delta(*mix.field, dt));
   }
-  rec.wall_ms = now_ms() - t0;
 
-  for (const char* name :
-       {"core.delta.ref_cache_hits", "core.delta.ref_cache_misses",
-        "geometry.delaunay.locates"}) {
-    rec.counters.emplace_back(name, cval(name));
-  }
-  rec.derived.emplace_back(
-      "throughput_jps",
-      ratio(static_cast<double>(mix.total()), rec.wall_ms / 1000.0));
+  read_counters(rec, {"core.delta.ref_cache_hits",
+                      "core.delta.ref_cache_misses",
+                      "geometry.delaunay.locates"});
   return rec;
-}
-
-/// The service.* sidecar CI uploads next to BENCH_perf.json: per thread
-/// count, the service record's counters/derived plus the per-job-type
-/// duration histogram summaries (which the main JSON does not carry).
-void write_service_sidecar(
-    const std::string& path, const std::string& mode,
-    const std::vector<std::tuple<std::size_t, Record, ServiceObs>>& runs) {
-  std::ofstream out(path);
-  if (!out) {
-    std::printf("note: cannot write %s\n", path.c_str());
-    return;
-  }
-  out.precision(17);
-  out << "{\n";
-  out << "  \"schema\": \"cps.bench_perf.service.v1\",\n";
-  out << "  \"mode\": \"" << mode << "\",\n";
-  out << "  \"runs\": [\n";
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    const auto& [threads, rec, sobs] = runs[i];
-    out << "    {\n";
-    out << "      \"threads\": " << threads << ",\n";
-    out << "      \"wall_ms\": " << rec.wall_ms << ",\n";
-    out << "      \"counters\": {";
-    for (std::size_t j = 0; j < rec.counters.size(); ++j) {
-      out << (j == 0 ? "\n" : ",\n") << "        \""
-          << rec.counters[j].first << "\": " << rec.counters[j].second;
-    }
-    out << "\n      },\n";
-    out << "      \"derived\": {";
-    for (std::size_t j = 0; j < rec.derived.size(); ++j) {
-      out << (j == 0 ? "\n" : ",\n") << "        \""
-          << rec.derived[j].first << "\": " << rec.derived[j].second;
-    }
-    out << "\n      },\n";
-    out << "      \"job_histograms\": {";
-    for (std::size_t h = 0; h < 3; ++h) {
-      const auto& s = sobs.hists[h];
-      out << (h == 0 ? "\n" : ",\n") << "        \"" << kServiceHistNames[h]
-          << "\": {\"count\": " << s.count << ", \"p50_us\": " << s.p50_us
-          << ", \"p90_us\": " << s.p90_us << ", \"p99_us\": " << s.p99_us
-          << ", \"mean_us\": " << s.mean_us << "}";
-    }
-    out << "\n      }\n";
-    out << "    }" << (i + 1 < runs.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n";
-  out << "}\n";
 }
 
 // --- Equivalence oracles -------------------------------------------------
@@ -805,6 +576,41 @@ bool same_positions(const std::vector<geo::Vec2>& a,
   return true;
 }
 
+/// Reports, and counts, every job whose service result differs in any bit
+/// from the serial loop's.
+int compare_mix(const std::string& id, const MixOutputs& service,
+                const MixOutputs& serial) {
+  if (service.deltas.size() != serial.deltas.size() ||
+      service.plans.size() != serial.plans.size()) {
+    std::fprintf(stderr,
+                 "EQUIVALENCE FAILURE %s: %zu results and %zu plans vs "
+                 "%zu and %zu direct\n",
+                 id.c_str(), service.deltas.size(), service.plans.size(),
+                 serial.deltas.size(), serial.plans.size());
+    return 1;
+  }
+  int failures = 0;
+  for (std::size_t i = 0; i < service.deltas.size(); ++i) {
+    if (service.deltas[i] != serial.deltas[i]) {
+      std::fprintf(stderr,
+                   "EQUIVALENCE FAILURE %s: job %zu delta %.17g vs direct "
+                   "%.17g\n",
+                   id.c_str(), i, service.deltas[i], serial.deltas[i]);
+      ++failures;
+    }
+  }
+  for (std::size_t i = 0; i < service.plans.size(); ++i) {
+    if (!same_positions(service.plans[i], serial.plans[i])) {
+      std::fprintf(stderr,
+                   "EQUIVALENCE FAILURE %s: plan %zu selected a different "
+                   "deployment than the direct planner\n",
+                   id.c_str(), i);
+      ++failures;
+    }
+  }
+  return failures;
+}
+
 // --- JSON output ---------------------------------------------------------
 
 void write_json(std::ostream& out, const std::string& mode,
@@ -812,20 +618,16 @@ void write_json(std::ostream& out, const std::string& mode,
   out.precision(17);
   const char* threads_env = std::getenv("CPS_THREADS");
   out << "{\n";
-  out << "  \"schema\": \"cps.bench_perf.v1\",\n";
+  out << "  \"schema\": \"cps.bench_perf.v2\",\n";
   out << "  \"mode\": \"" << mode << "\",\n";
   out << "  \"threads\": " << par::thread_count() << ",\n";
-  // Machine context for cross-runner comparison of the wall times; the
-  // baseline gate reads only `records[].counters`, so none of this
-  // affects CI.
+  // Which host and build produced this file; the baseline gate reads only
+  // `records`, so none of this affects --check.
   out << "  \"machine\": {\n";
   out << "    \"hardware_threads\": " << par::hardware_threads() << ",\n";
   out << "    \"cps_threads_env\": \""
       << (threads_env != nullptr ? threads_env : "") << "\",\n";
   out << "    \"pool_threads\": " << par::thread_count() << ",\n";
-  // Build-configuration stamps: records from a Debug, simd-off, or
-  // cold-cache build are not comparable to Release numbers, so say which
-  // one produced this file.
 #if defined(CPS_SIMD_ENABLED)
   out << "    \"simd\": true,\n";
 #else
@@ -842,28 +644,12 @@ void write_json(std::ostream& out, const std::string& mode,
   out << "    \"ccache\": \"unknown\"\n";
 #endif
   out << "  },\n";
-  // Multiplicative tolerance bands for the latency gate, stored with the
-  // baseline so the thresholds travel with the numbers they bound.  The
-  // percentiles are exact order statistics now, so the bands only have to
-  // absorb runner noise (shared CI machines still jitter plenty) — they
-  // used to also cover histogram bucket quantisation.
-  out << "  \"latency_gate\": {\"p50_band\": 3.0, \"p99_band\": 5.0},\n";
   out << "  \"records\": [\n";
   for (std::size_t i = 0; i < records.size(); ++i) {
     const Record& r = records[i];
     out << "    {\n";
     out << "      \"id\": \"" << r.id << "\",\n";
-    out << "      \"wall_ms\": " << r.wall_ms << ",\n";
-    if (r.latency.samples > 0) {
-      out << "      \"latency\": {\"samples\": " << r.latency.samples
-          << ", \"p50_ms\": " << r.latency.p50_ms
-          << ", \"p90_ms\": " << r.latency.p90_ms
-          << ", \"p99_ms\": " << r.latency.p99_ms
-          << ", \"mean_ms\": " << r.latency.mean_ms
-          << ", \"min_ms\": " << r.latency.min_ms
-          << ", \"max_ms\": " << r.latency.max_ms << "},\n";
-    }
-    out << "      \"counters\": {";
+  out << "      \"counters\": {";
     for (std::size_t j = 0; j < r.counters.size(); ++j) {
       out << (j == 0 ? "\n" : ",\n") << "        \"" << r.counters[j].first
           << "\": " << r.counters[j].second;
@@ -883,46 +669,71 @@ void write_json(std::ostream& out, const std::string& mode,
 
 // --- Baseline gate -------------------------------------------------------
 
-/// An absolute gate on a derived value: every record that carries
-/// `metric` must satisfy it, whatever the baseline's counters say.
+/// An absolute bound on a derived value: every record that carries
+/// `metric` must satisfy it, and it still holds after the baseline is
+/// regenerated.
 struct Gate {
-  enum class Kind {
-    kAtMost,          ///< value <= bound.
-    kAtLeast,         ///< value >= bound.
-    kEqualsBaseline,  ///< value == the baseline record's value, exactly.
-  };
   const char* metric;
-  Kind kind;
-  double bound;  ///< Unused for kEqualsBaseline.
+  bool at_most;  ///< value <= bound; otherwise value >= bound.
+  double bound;
   const char* why;
 };
 
 constexpr Gate kGates[] = {
     // The indexed heap holds one live entry per candidate, so stale pops
     // mean it regressed to lazy deletion.
-    {"stale_pop_ratio", Gate::Kind::kAtMost, 0.9,
+    {"stale_pop_ratio", true, 0.9,
      "selection heap fell back to stale-pop-dominated behaviour"},
-    // Candidates examined per FRA selection are deterministic: any change
-    // is an algorithmic change and needs a baseline regeneration.
-    {"scans_per_iteration", Gate::Kind::kEqualsBaseline, 0.0,
-     "FRA examined a different number of candidates per selection"},
     // The cavity-local δ tracker exists for its O(changed area) bound.
-    {"full_sweep_savings", Gate::Kind::kAtLeast, 10.0,
+    {"full_sweep_savings", false, 10.0,
      "incremental tracker re-evaluated more than 1/10 of the full-sweep "
      "lattice work"},
     // The service's what-if path is cavity-local by construction, so
-    // losing to a serial loop of full re-sweeps means the service layer
-    // (batching, snapshot sharing, base-state cache) regressed.
-    {"speedup_vs_serial", Gate::Kind::kAtLeast, 1.0,
-     "the planner service lost to the serial direct-call loop"},
+    // evaluating more lattice points than a serial loop of full re-sweeps
+    // means the service layer (base-state cache, incremental what-ifs)
+    // regressed.
+    {"lattice_point_ratio", false, 1.0,
+     "the planner service evaluated more lattice points than the serial "
+     "direct-call loop"},
 };
 
-// Counters are deterministic, so "regression" is sharp: any counter more
-// than 10% above its checked-in baseline fails.  Decreases pass (that is
-// an improvement — refresh the baseline to lock it in).  Latency
-// percentiles are gated with the baseline's own tolerance bands
-// (latency_gate) when both sides carry latency data; old baselines
-// without it gate counters only.  Then every record is held to kGates.
+/// Compares one record section ("counters" or "derived") exactly, key by
+/// key, in both directions; returns the number of values compared.
+template <typename T>
+std::size_t compare_section(
+    const std::string& id, const char* section, const bench::Json& base,
+    const std::vector<std::pair<std::string, T>>& values, int& regressions) {
+  std::map<std::string, double> current;
+  for (const auto& [name, v] : values) current[name] = static_cast<double>(v);
+  for (const auto& [name, base_val] : base.object) {
+    const auto it = current.find(name);
+    if (it == current.end()) {
+      std::fprintf(stderr, "REGRESSION %s: %s.%s missing from this run\n",
+                   id.c_str(), section, name.c_str());
+      ++regressions;
+    } else if (it->second != base_val.number) {
+      std::fprintf(stderr, "REGRESSION %s: %s.%s = %.17g, baseline %.17g\n",
+                   id.c_str(), section, name.c_str(), it->second,
+                   base_val.number);
+      ++regressions;
+    }
+  }
+  for (const auto& [name, v] : current) {
+    if (!base.has(name)) {
+      std::fprintf(stderr, "REGRESSION %s: %s.%s = %.17g missing from the "
+                           "baseline\n",
+                   id.c_str(), section, name.c_str(), v);
+      ++regressions;
+    }
+  }
+  return current.size();
+}
+
+// Every counter and derived value is deterministic, so the baseline must
+// match exactly: a value that moves in either direction, or a record or
+// key present on one side only, is a regression (an improvement too —
+// regenerate the baseline to lock it in).  Then every record is held to
+// kGates.
 int check_against_baseline(const std::string& path,
                            const std::vector<Record>& records) {
   std::ifstream in(path);
@@ -946,21 +757,12 @@ int check_against_baseline(const std::string& path,
   std::map<std::string, const Record*> by_id;
   for (const Record& r : records) by_id[r.id] = &r;
 
-  double p50_band = 3.0;
-  double p99_band = 5.0;
-  if (baseline.has("latency_gate")) {
-    const bench::Json& gate = baseline.at("latency_gate");
-    if (gate.has("p50_band")) p50_band = gate.at("p50_band").number;
-    if (gate.has("p99_band")) p99_band = gate.at("p99_band").number;
-  }
-
   int regressions = 0;
   std::size_t compared = 0;
-  std::size_t latency_compared = 0;
-  std::map<std::string, const bench::Json*> base_by_id;
+  std::set<std::string> base_ids;
   for (const bench::Json& base_rec : baseline.at("records").array) {
     const std::string& id = base_rec.at("id").string;
-    base_by_id[id] = &base_rec;
+    base_ids.insert(id);
     const auto it = by_id.find(id);
     if (it == by_id.end()) {
       std::fprintf(stderr, "REGRESSION %s: record missing from this run "
@@ -969,74 +771,33 @@ int check_against_baseline(const std::string& path,
       ++regressions;
       continue;
     }
-    for (const auto& [name, base_val] : base_rec.at("counters").object) {
-      const double base = base_val.number;
-      const double cur = static_cast<double>(it->second->counter(name));
-      ++compared;
-      if (cur > base * 1.10 + 0.5) {
-        std::fprintf(stderr,
-                     "REGRESSION %s: %s = %.0f exceeds baseline %.0f "
-                     "by more than 10%%\n",
-                     id.c_str(), name.c_str(), cur, base);
-        ++regressions;
-      }
-    }
-    if (base_rec.has("latency") && it->second->latency.samples > 0) {
-      const bench::Json& base_lat = base_rec.at("latency");
-      // +1 ms of absolute slack: sub-millisecond records quantise into
-      // the same few histogram buckets regardless of real speed, so a
-      // pure multiplicative band would flake on them.
-      const auto gate_percentile = [&](const char* key, double cur,
-                                       double band) {
-        if (!base_lat.has(key)) return;
-        const double base = base_lat.at(key).number;
-        ++latency_compared;
-        if (cur > base * band + 1.0) {
-          std::fprintf(stderr,
-                       "REGRESSION %s: %s = %.2f ms exceeds baseline "
-                       "%.2f ms by more than %.1fx\n",
-                       id.c_str(), key, cur, base, band);
-          ++regressions;
-        }
-      };
-      gate_percentile("p50_ms", it->second->latency.p50_ms, p50_band);
-      gate_percentile("p99_ms", it->second->latency.p99_ms, p99_band);
-    }
+    compared += compare_section(id, "counters", base_rec.at("counters"),
+                                it->second->counters, regressions);
+    compared += compare_section(id, "derived", base_rec.at("derived"),
+                                it->second->derived, regressions);
   }
   for (const Record& r : records) {
+    if (base_ids.count(r.id) == 0) {
+      std::fprintf(stderr, "REGRESSION %s: record missing from the "
+                           "baseline\n",
+                   r.id.c_str());
+      ++regressions;
+    }
     for (const Gate& gate : kGates) {
       const double* value = r.derived_value(gate.metric);
       if (value == nullptr) continue;
-      bool ok = true;
-      double bound = gate.bound;
-      switch (gate.kind) {
-        case Gate::Kind::kAtMost:
-          ok = *value <= bound;
-          break;
-        case Gate::Kind::kAtLeast:
-          ok = *value >= bound;
-          break;
-        case Gate::Kind::kEqualsBaseline: {
-          const auto base = base_by_id.find(r.id);
-          ok = base != base_by_id.end() && base->second->has("derived") &&
-               base->second->at("derived").has(gate.metric);
-          if (ok) {
-            bound = base->second->at("derived").at(gate.metric).number;
-            ok = *value == bound;
-          }
-          break;
-        }
-      }
-      if (!ok) {
-        std::fprintf(stderr, "REGRESSION %s: %s = %.17g against %.17g — %s\n",
-                     r.id.c_str(), gate.metric, *value, bound, gate.why);
+      if (gate.at_most ? !(*value <= gate.bound) : !(*value >= gate.bound)) {
+        std::fprintf(stderr, "REGRESSION %s: %s = %.17g against %s %g — %s\n",
+                     r.id.c_str(), gate.metric, *value,
+                     gate.at_most ? "at most" : "at least", gate.bound,
+                     gate.why);
         ++regressions;
       }
     }
   }
-  std::printf("baseline check: %zu counters and %zu latency percentiles "
-              "compared against %s, %d regression(s)\n",
-              compared, latency_compared, path.c_str(), regressions);
+  std::printf("baseline check: %zu values compared exactly against %s, "
+              "%d regression(s)\n",
+              compared, path.c_str(), regressions);
   return regressions == 0 ? 0 : 1;
 }
 
@@ -1049,7 +810,6 @@ int main(int argc, char** argv) {
   bool quick = false;
   std::string out_path = "BENCH_perf.json";
   std::string baseline_path;
-  std::size_t repeats = 3;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) {
       quick = true;
@@ -1057,9 +817,6 @@ int main(int argc, char** argv) {
       out_path = argv[++i];
     } else if (std::strcmp(argv[i], "--check") == 0 && i + 1 < argc) {
       baseline_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--repeats") == 0 && i + 1 < argc) {
-      repeats = static_cast<std::size_t>(
-          std::max(1L, std::atol(argv[++i])));
     }
   }
   bench::print_header("Perf trajectory",
@@ -1087,25 +844,17 @@ int main(int argc, char** argv) {
   std::vector<Record> records;
   int failures = 0;
 
-  // FRA records are milliseconds (unlike the CMA blocks), so they get
-  // extra latency samples.
-  const std::size_t fra_repeats = std::max<std::size_t>(repeats, 7);
   for (const std::size_t k : fra_ks) {
-    const Record fra =
-        timed_repeat(fra_repeats, [&] { return run_fra(frame, k); });
-    records.push_back(fra);
-    std::printf("fra k=%-5zu scans/iter %.1f, wall %.1f ms\n", k,
-                *fra.derived_value("scans_per_iteration"), fra.wall_ms);
+    records.push_back(run_fra(frame, k));
+    std::printf("fra k=%-5zu scans/iter %.1f\n", k,
+                *records.back().derived_value("scans_per_iteration"));
   }
 
   for (const std::size_t n : cma_ns) {
     for (const std::string model : {"disk", "distloss", "gilbert"}) {
-      const Record cma = timed_repeat(
-          repeats, [&] { return run_cma(recorded, n, model, slots); });
-      records.push_back(cma);
-      std::printf("cma n=%-5zu %-8s attempts/slot %.0f, wall %.0f ms\n", n,
-                  model.c_str(), *cma.derived_value("attempts_per_slot"),
-                  cma.wall_ms);
+      records.push_back(run_cma(recorded, n, model, slots));
+      std::printf("cma n=%-5zu %-8s attempts/slot %.0f\n", n, model.c_str(),
+                  *records.back().derived_value("attempts_per_slot"));
     }
   }
 
@@ -1114,12 +863,9 @@ int main(int argc, char** argv) {
     const std::size_t density_slots = quick ? 6 : 10;
     const num::Rect region = density_region(n);
     const auto density_env = density_field(region);
-    const Record cma = timed_repeat(repeats, [&] {
-      return run_cma_density(density_env, region, n, density_slots);
-    });
-    records.push_back(cma);
-    std::printf("cma n=%-5zu density  attempts/slot %.0f, wall %.0f ms\n", n,
-                *cma.derived_value("attempts_per_slot"), cma.wall_ms);
+    records.push_back(run_cma_density(density_env, region, n, density_slots));
+    std::printf("cma n=%-5zu density  attempts/slot %.0f\n", n,
+                *records.back().derived_value("attempts_per_slot"));
   }
 
   // Delta evaluation of one FRA deployment.  Resolution 256 keeps the
@@ -1130,24 +876,21 @@ int main(int argc, char** argv) {
         frame, core::PlanRequest{bench::kRegion, 200, bench::kRc});
     const std::size_t res = 256;
     double delta_raster = 0.0;
-    const Record raster = timed_repeat(repeats, [&] {
-      return run_delta_eval(frame, plan.positions, res, delta_raster);
-    });
+    const Record raster =
+        run_delta_eval(frame, plan.positions, res, delta_raster);
     records.push_back(raster);
-    std::printf("delta res=%-4zu locates %llu, wall %.1f ms\n", res,
+    std::printf("delta res=%-4zu locates %llu\n", res,
                 static_cast<unsigned long long>(
-                    raster.counter("geometry.delaunay.locates")),
-                raster.wall_ms);
+                    raster.counter("geometry.delaunay.locates")));
 
     // Cavity-local tracker: the same plan with FraConfig::track_delta set
     // yields the same deployment, and its final tracked value must be
-    // bit-identical to the full raster sweep just measured — that is the
+    // bit-identical to the full raster sweep above — that is the
     // tracker's oracle protocol (DESIGN.md §13).
     double delta_inc = 0.0;
     std::vector<geo::Vec2> inc_pos;
-    const Record inc = timed_repeat(repeats, [&] {
-      return run_delta_incremental(frame, 200, res, delta_inc, inc_pos);
-    });
+    const Record inc =
+        run_delta_incremental(frame, 200, res, delta_inc, inc_pos);
     records.push_back(inc);
     if (!same_positions(inc_pos, plan.positions)) {
       std::fprintf(stderr,
@@ -1196,9 +939,8 @@ int main(int argc, char** argv) {
       }
     }
     std::vector<double> cached_deltas;
-    const Record sweep = timed_repeat(repeats, [&] {
-      return run_delta_refcache_sweep(frame, deployments, cached_deltas);
-    });
+    const Record sweep =
+        run_delta_refcache_sweep(frame, deployments, cached_deltas);
     records.push_back(sweep);
     for (std::size_t i = 0; i < kDeployments; ++i) {
       if (cached_deltas[i] != uncached_deltas[i]) {
@@ -1223,100 +965,31 @@ int main(int argc, char** argv) {
   }
 
   // Planner service: the same deterministic job mix through the service
-  // (batched on the pool) and as a serial loop of direct calls, at pool
-  // sizes 1 and 4.  The serial half doubles as the bit-identity oracle.
-  // The timeline stays disarmed across the whole section: concurrent jobs
-  // would interleave counter deltas across intervals meaninglessly, and
-  // the service's determinism contract (DESIGN.md §15) excludes armed
-  // concurrent batches.
+  // at pool sizes 1 and 4, each compared bit for bit with one serial loop
+  // of direct calls.  The timeline stays disarmed across the whole
+  // section: concurrent jobs would interleave counter deltas across
+  // intervals meaninglessly, and the service's determinism contract
+  // (DESIGN.md §15) excludes armed concurrent batches.
   {
     obs::timeline().set_armed(false);
-    const std::size_t prev_threads = par::thread_count();
     const ServiceMix mix = make_service_mix(
         quick,
         std::make_shared<field::FieldSlice>(env, bench::reference_time()));
-    std::vector<std::tuple<std::size_t, Record, ServiceObs>> service_runs;
+    MixOutputs serial;
+    records.push_back(run_serial_mix(mix, serial));
+    const std::size_t prev_threads = par::thread_count();
     for (const std::size_t t : {std::size_t{1}, std::size_t{4}}) {
       par::set_thread_count(t);
-      std::vector<double> service_deltas, serial_deltas;
-      std::vector<std::vector<geo::Vec2>> service_plans, serial_plans;
-      bool service_ok = true;
-      ServiceObs sobs;
-      std::vector<double> pair_ratios;
-      auto [service, serial] = timed_repeat_pair(
-          repeats,
-          [&] {
-            return run_service_mix(mix, t, service_deltas, service_plans,
-                                   service_ok, sobs);
-          },
-          [&] {
-            return run_serial_mix(mix, t, serial_deltas, serial_plans);
-          },
-          pair_ratios);
-      std::sort(pair_ratios.begin(), pair_ratios.end());
-      const double speedup = exact_quantile(pair_ratios, 0.5);
-      service.derived.emplace_back("speedup_vs_serial", speedup);
-      if (!service_ok) {
-        std::fprintf(stderr,
-                     "EQUIVALENCE FAILURE %s: one or more jobs reported "
-                     "errors\n",
-                     service.id.c_str());
-        ++failures;
-      }
-      if (service_deltas.size() != serial_deltas.size()) {
-        std::fprintf(stderr,
-                     "EQUIVALENCE FAILURE %s: %zu results vs %zu direct\n",
-                     service.id.c_str(), service_deltas.size(),
-                     serial_deltas.size());
-        ++failures;
-      } else {
-        for (std::size_t i = 0; i < service_deltas.size(); ++i) {
-          if (service_deltas[i] != serial_deltas[i]) {
-            std::fprintf(stderr,
-                         "EQUIVALENCE FAILURE %s: job %zu delta %.17g vs "
-                         "direct %.17g\n",
-                         service.id.c_str(), i, service_deltas[i],
-                         serial_deltas[i]);
-            ++failures;
-          }
-        }
-      }
-      if (service_plans.size() != serial_plans.size()) {
-        std::fprintf(stderr,
-                     "EQUIVALENCE FAILURE %s: %zu plans vs %zu direct\n",
-                     service.id.c_str(), service_plans.size(),
-                     serial_plans.size());
-        ++failures;
-      } else {
-        for (std::size_t i = 0; i < service_plans.size(); ++i) {
-          if (!same_positions(service_plans[i], serial_plans[i])) {
-            std::fprintf(stderr,
-                         "EQUIVALENCE FAILURE %s: plan %zu selected a "
-                         "different deployment than the direct planner\n",
-                         service.id.c_str(), i);
-            ++failures;
-          }
-        }
-      }
-      const double* p50 = service.derived_value("job_latency_p50_ms");
-      const double* p99 = service.derived_value("job_latency_p99_ms");
-      std::printf(
-          "service t=%zu %zu jobs: %.0f jobs/s (x%.2f vs serial), "
-          "job p50 %.2f ms p99 %.2f ms, wall %.0f ms -> %.0f ms\n",
-          t, mix.total(),
-          service.derived_value("throughput_jps") != nullptr
-              ? *service.derived_value("throughput_jps")
-              : 0.0,
-          speedup, p50 != nullptr ? *p50 : 0.0, p99 != nullptr ? *p99 : 0.0,
-          serial.wall_ms, service.wall_ms);
-      records.push_back(service);
-      records.push_back(serial);
-      service_runs.emplace_back(t, std::move(service), sobs);
+      MixOutputs service;
+      records.push_back(run_service_mix(mix, t, service, failures));
+      failures += compare_mix(records.back().id, service, serial);
+      std::printf("service t=%zu %zu jobs: %.2fx fewer lattice points than "
+                  "the serial loop\n",
+                  t, mix.total(),
+                  *records.back().derived_value("lattice_point_ratio"));
     }
     par::set_thread_count(prev_threads);
     obs::timeline().set_armed(true);
-    write_service_sidecar(bench::output_dir() + "/perf_service_metrics.json",
-                          quick ? "quick" : "full", service_runs);
   }
 
   std::ofstream out(out_path);

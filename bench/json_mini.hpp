@@ -1,7 +1,7 @@
 // Minimal recursive-descent JSON reader for the perf-trajectory gate.
 //
 // bench_perf --check parses a checked-in BENCH_baseline.json and compares
-// its algorithmic counters against a fresh in-process run.  The baseline
+// its counters and derived values against a fresh in-process run.  The baseline
 // is machine-written by bench_perf itself (no escapes beyond \" in keys,
 // plain numbers), so this reader supports exactly standard JSON with
 // doubles for all numbers — counters stay far below 2^53, where doubles

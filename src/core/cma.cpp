@@ -28,9 +28,10 @@ CmaSimulation::CmaSimulation(const field::TimeVaryingField& environment,
   if (positions_.empty()) {
     throw std::invalid_argument("CmaSimulation: no nodes");
   }
-  if (config.rs <= 0.0 || config.rc <= 0.0 || config.velocity < 0.0 ||
-      config.dt <= 0.0 || config.force_gain <= 0.0 ||
-      config.neighbor_ttl == 0) {
+  // Written as !(x > 0) so a NaN parameter is rejected too.
+  if (!(config.rs > 0.0) || !(config.rc > 0.0) ||
+      !(config.velocity >= 0.0) || !(config.dt > 0.0) ||
+      !(config.force_gain > 0.0) || config.neighbor_ttl == 0) {
     throw std::invalid_argument("CmaSimulation: bad config");
   }
   for (const auto& p : positions_) {

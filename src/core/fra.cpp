@@ -229,7 +229,7 @@ FraPlanner::FraPlanner(const FraConfig& config) : config_(config) {
   if (config.error_grid < 2) {
     throw std::invalid_argument("FraPlanner: error_grid < 2");
   }
-  if (config.curvature_radius <= 0.0) {
+  if (!(config.curvature_radius > 0.0)) {  // Rejects NaN too.
     throw std::invalid_argument("FraPlanner: curvature_radius <= 0");
   }
 }
@@ -241,7 +241,7 @@ Deployment FraPlanner::plan(const field::Field& reference,
 
 FraResult FraPlanner::plan_detailed(const field::Field& reference,
                                     const PlanRequest& request) {
-  if (request.rc <= 0.0) throw std::invalid_argument("FRA: rc <= 0");
+  if (!(request.rc > 0.0)) throw std::invalid_argument("FRA: rc <= 0");
   FraResult result;
   if (request.k == 0) return result;
 

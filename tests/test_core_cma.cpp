@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <memory>
 
 #include "core/planner.hpp"
@@ -56,6 +57,16 @@ TEST(Cma, ConstructionValidation) {
   bad.dt = 0.0;
   EXPECT_THROW(CmaSimulation(env, kRegion, {{5.0, 5.0}}, bad),
                std::invalid_argument);
+  // NaN fails every ordered comparison, so each must be rejected too.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (double CmaConfig::*field :
+       {&CmaConfig::rs, &CmaConfig::rc, &CmaConfig::dt,
+        &CmaConfig::force_gain, &CmaConfig::velocity}) {
+    bad = fast_config();
+    bad.*field = nan;
+    EXPECT_THROW(CmaSimulation(env, kRegion, {{5.0, 5.0}}, bad),
+                 std::invalid_argument);
+  }
 }
 
 TEST(Cma, TimeAdvancesBySlot) {

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 
 #include "core/delta.hpp"
@@ -38,8 +39,13 @@ TEST(Fra, ConfigValidation) {
   bad = FraConfig{};
   bad.curvature_radius = 0.0;
   EXPECT_THROW(FraPlanner{bad}, std::invalid_argument);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  bad.curvature_radius = nan;
+  EXPECT_THROW(FraPlanner{bad}, std::invalid_argument);
   FraPlanner ok{fast_config()};
   EXPECT_THROW(ok.plan(test_field(), request(5, 0.0)),
+               std::invalid_argument);
+  EXPECT_THROW(ok.plan(test_field(), request(5, nan)),
                std::invalid_argument);
 }
 

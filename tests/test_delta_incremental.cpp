@@ -8,7 +8,8 @@
 //    threads; after EVERY event the tracker's value must be
 //    bit-identical to a fresh raster sweep AND the per-point walk
 //    reference (tests/oracles.hpp) of the same triangulation (the
-//    DESIGN.md §13 oracle protocol);
+//    DESIGN.md §13 oracle protocol), and the triangulation must still be
+//    a valid Delaunay triangulation;
 //  * retarget (reference swap) and batched z-update events against the
 //    same oracles;
 //  * a tracker that outlives a mid-stream thread-count change;
@@ -87,6 +88,8 @@ void fuzz_events(const field::Field& f, std::uint64_t seed,
   std::vector<int> user;  // Alive non-corner vertices.
   const auto check = [&](std::size_t step, const char* what) {
     SCOPED_TRACE("event " + std::to_string(step) + " (" + what + ")");
+    ASSERT_TRUE(dt.validate_topology());
+    ASSERT_TRUE(dt.is_delaunay());
     const double fresh = raster.delta(f, dt);
     ASSERT_EQ(inc.value(), fresh);        // Bitwise, not approximately.
     ASSERT_EQ(fresh, oracle::walk_delta(raster, f, dt));  // And the walk.

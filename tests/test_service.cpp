@@ -138,6 +138,8 @@ TEST(PlannerService, WhatIfMatchesFreshDeltaOfMutatedSurface) {
       geo::Delaunay dt = dt_base;
       dt.move_vertex(geo::Delaunay::kCorners + 3, {12.25, 47.5},
                      field->value({12.25, 47.5}));
+      ASSERT_TRUE(dt.validate_topology());
+      ASSERT_TRUE(dt.is_delaunay());
       const JobResult r = f_move.get();
       ASSERT_TRUE(r.ok) << r.error;
       EXPECT_EQ(r.delta, metric.delta(*field, dt));
@@ -145,6 +147,8 @@ TEST(PlannerService, WhatIfMatchesFreshDeltaOfMutatedSurface) {
     {
       geo::Delaunay dt = dt_base;
       dt.insert({71.5, 23.25}, field->value({71.5, 23.25}));
+      ASSERT_TRUE(dt.validate_topology());
+      ASSERT_TRUE(dt.is_delaunay());
       const JobResult r = f_insert.get();
       ASSERT_TRUE(r.ok) << r.error;
       EXPECT_EQ(r.delta, metric.delta(*field, dt));
@@ -152,6 +156,8 @@ TEST(PlannerService, WhatIfMatchesFreshDeltaOfMutatedSurface) {
     {
       geo::Delaunay dt = dt_base;
       dt.remove(geo::Delaunay::kCorners + 5);
+      ASSERT_TRUE(dt.validate_topology());
+      ASSERT_TRUE(dt.is_delaunay());
       const JobResult r = f_remove.get();
       ASSERT_TRUE(r.ok) << r.error;
       EXPECT_EQ(r.delta, metric.delta(*field, dt));
