@@ -11,15 +11,12 @@
 // reachable when the connectivity constraint is enforced loosely: the
 // literal rule fragments the radio graph while delta drops, and the
 // provably-safe rule keeps the graph connected but pins the taut lattice.
-#include <algorithm>
 #include <cstdio>
-#include <memory>
-#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common.hpp"
 #include "core/cma.hpp"
-#include "core/cma_delta.hpp"
 #include "core/fra.hpp"
 #include "numerics/stats.hpp"
 #include "viz/series.hpp"
@@ -28,20 +25,7 @@ int main(int argc, char** argv) {
   using namespace cps;
   bench::ObsSession obs_session("fig10_delta_vs_time");
   bench::configure_threads(argc, argv);
-  // Opt-in: measure the per-slot series through the cavity-local
-  // CmaDeltaTracker (one persistent triangulation fed churn events)
-  // instead of a from-scratch reconstruction + sweep per slot.  The
-  // tracked series matches its own triangulation bit-exactly but its
-  // Delaunay history differs from the from-scratch path, so cocircular
-  // tie-breaks may differ — hence a flag, not the default.
-  bool incremental = false;
-  for (int a = 1; a < argc; ++a) {
-    if (std::string_view(argv[a]) == "--incremental") incremental = true;
-  }
   bench::print_header("Fig. 10", "delta vs time, CMA 10:00 -> 10:45");
-  if (incremental) {
-    std::printf("(incremental: per-slot delta via CmaDeltaTracker)\n");
-  }
 
   const auto env = bench::canonical_field();
   const auto recorded = env.record(trace::minutes(10, 0),
@@ -85,34 +69,12 @@ int main(int argc, char** argv) {
         trace::minutes(10, 0));
     viz::Series deltas{variant.name, {}};
     viz::Series connected{variant.name, {}};
-    std::unique_ptr<core::CmaDeltaTracker> tracker;
-    if (incremental) {
-      tracker = std::make_unique<core::CmaDeltaTracker>(sim, metric);
-    }
-    deltas.values.push_back(incremental ? tracker->value()
-                                        : sim.current_delta(metric));
+    deltas.values.push_back(sim.current_delta(metric));
     connected.values.push_back(sim.largest_component_fraction());
     for (int t = 1; t <= 45; ++t) {
       sim.step();
-      deltas.values.push_back(incremental ? tracker->update(sim)
-                                          : sim.current_delta(metric));
+      deltas.values.push_back(sim.current_delta(metric));
       connected.values.push_back(sim.largest_component_fraction());
-    }
-    if (tracker != nullptr) {
-      const auto& ts = tracker->stats();
-      const auto& ds = tracker->delta_stats();
-      const double full = static_cast<double>(ds.events) *
-                          static_cast<double>(ds.full_sweep_points);
-      std::printf(
-          "%-10s incremental: %zu moves, %zu deaths, %zu revivals; "
-          "%zu delta events re-evaluated %zu lattice points "
-          "(%.1fx fewer than per-event full sweeps; + %zu reference "
-          "retargets)\n",
-          variant.name, ts.node_moves, ts.node_deaths, ts.node_revivals,
-          ds.events, ds.points_reevaluated,
-          full / static_cast<double>(
-                     std::max<std::size_t>(ds.points_reevaluated, 1)),
-          ds.retargets);
     }
     columns.push_back(std::move(deltas));
     conn_columns.push_back(std::move(connected));

@@ -289,7 +289,6 @@ Record run_delta_incremental(const field::Field& frame, std::size_t k,
   read_counters(rec, {"core.delta.inc_events", "core.delta.inc_points",
                       "core.delta.inc_rows", "core.delta.inc_keep_assigns",
                       "core.delta.inc_relocates", "core.delta.inc_rebuilds",
-                      "core.delta.inc_retargets",
                       "geometry.delaunay.locates"});
 
   const auto& ds = result.delta_stats;

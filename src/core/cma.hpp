@@ -144,7 +144,7 @@ class CmaSimulation {
   double time() const noexcept { return time_; }
 
   /// The sensed environment (kept by reference; see the constructor).
-  /// CmaDeltaTracker slices it per slot to retarget its reference.
+  /// CmaDeltaTracker slices it per slot for its reference field.
   const field::TimeVaryingField& environment() const noexcept {
     return *environment_;
   }

@@ -1,164 +1,22 @@
 #include "core/cma_delta.hpp"
 
-#include <algorithm>
-#include <limits>
+#include "core/reconstruction.hpp"
 
 namespace cps::core {
 
-namespace {
-
-/// reconstruct_surface's corner rule: nearest living sample, ties to the
-/// latest (== highest node index, matching latest-insertion-wins).  0.0
-/// with no living nodes, like folding over an empty sample list.
-double nearest_sample_z(const CmaSimulation& sim, const field::Field& slice,
-                        geo::Vec2 corner) {
-  double best = std::numeric_limits<double>::infinity();
-  double z = 0.0;
-  for (std::size_t i = 0; i < sim.node_count(); ++i) {
-    if (!sim.is_alive(i)) continue;
-    const geo::Vec2 p = sim.positions()[i];
-    const double d2 = geo::distance_sq(corner, p);
-    if (d2 <= best) {
-      best = d2;
-      z = slice.value(p);
-    }
-  }
-  return z;
-}
-
-}  // namespace
-
 CmaDeltaTracker::CmaDeltaTracker(const CmaSimulation& sim,
                                  const DeltaMetric& metric)
-    : metric_(&metric),
-      dt_(metric.region()),
-      slice_time_(sim.time()),
-      node_vid_(sim.node_count(), -1),
-      node_pos_(sim.positions()) {
-  const field::FieldSlice slice(sim.environment(), slice_time_);
-  // Mirror reconstruct_surface(sense_at_nodes()): living samples inserted
-  // in node order, then the corner scaffolding overwritten by the
-  // nearest-sample rule.
-  for (std::size_t i = 0; i < sim.node_count(); ++i) {
-    if (!sim.is_alive(i)) continue;
-    const geo::Vec2 p = node_pos_[i];
-    const geo::InsertResult ins = dt_.insert(p, slice.value(p));
-    acquire(i, ins.vertex);
-  }
-  for (int corner = 0; corner < geo::Delaunay::kCorners; ++corner) {
-    dt_.set_vertex_z(corner,
-                     nearest_sample_z(sim, slice, dt_.vertex(corner).pos));
-  }
-  delta_ = std::make_unique<IncrementalDelta>(metric, slice, dt_);
-}
-
-double CmaDeltaTracker::sense(const CmaSimulation& sim, geo::Vec2 p) const {
-  return field::FieldSlice(sim.environment(), slice_time_).value(p);
-}
-
-void CmaDeltaTracker::acquire(std::size_t node, int vid) {
-  node_vid_[node] = vid;
-  if (++vid_refs_[vid] > 1) ++stats_.merges;
-}
-
-void CmaDeltaTracker::release(std::size_t node) {
-  const int vid = node_vid_[node];
-  node_vid_[node] = -1;
-  auto it = vid_refs_.find(vid);
-  if (--it->second > 0) return;
-  vid_refs_.erase(it);
-  // Corner scaffolding is permanent: a node that aliased a corner leaves
-  // the vertex behind (its z is re-derived by refresh_corners anyway).
-  if (vid < geo::Delaunay::kCorners) return;
-  const geo::RemoveResult removal = dt_.remove(vid);
-  delta_->apply(dt_, removal);
-}
-
-void CmaDeltaTracker::refresh_corners(const CmaSimulation& sim) {
-  const field::FieldSlice slice(sim.environment(), slice_time_);
-  std::vector<int> stars;
-  for (int corner = 0; corner < geo::Delaunay::kCorners; ++corner) {
-    const double z = nearest_sample_z(sim, slice, dt_.vertex(corner).pos);
-    if (z == dt_.vertex(corner).z) continue;
-    dt_.set_vertex_z(corner, z);
-    const std::vector<int> star = dt_.vertex_star(corner);
-    stars.insert(stars.end(), star.begin(), star.end());
-  }
-  if (stars.empty()) return;
-  std::sort(stars.begin(), stars.end());
-  stars.erase(std::unique(stars.begin(), stars.end()), stars.end());
-  delta_->apply_z_updates(dt_, stars);
+    : metric_(&metric), dt_(metric.region()) {
+  update(sim);
 }
 
 double CmaDeltaTracker::update(const CmaSimulation& sim) {
-  ++stats_.slots;
-  // Reference first: the slice advanced, so re-fold the stored surface
-  // against it once (cheap, no geometry); the slot's events then fold
-  // their dirty regions against the already-current reference.
-  slice_time_ = sim.time();
-  const field::FieldSlice slice(sim.environment(), slice_time_);
-  delta_->retarget(*metric_, slice);
-
-  for (std::size_t i = 0; i < sim.node_count(); ++i) {
-    const bool alive = sim.is_alive(i);
-    const bool was_alive = node_vid_[i] != -1;
-    const geo::Vec2 p = sim.positions()[i];
-    if (was_alive && !alive) {
-      release(i);
-      ++stats_.node_deaths;
-      continue;
-    }
-    if (!was_alive) {
-      node_pos_[i] = p;
-      if (!alive) continue;
-      const geo::InsertResult ins = dt_.insert(p, slice.value(p));
-      delta_->apply(dt_, ins);
-      acquire(i, ins.vertex);
-      ++stats_.node_revivals;
-      continue;
-    }
-    if (p.x == node_pos_[i].x && p.y == node_pos_[i].y) continue;
-    // The node moved.  A solely-held non-corner vertex relocates as one
-    // fused event; an aliased (or corner) vertex stays for its other
-    // holders and the node re-inserts at the destination.
-    const int vid = node_vid_[i];
-    node_pos_[i] = p;
-    ++stats_.node_moves;
-    if (vid >= geo::Delaunay::kCorners && vid_refs_[vid] == 1) {
-      const geo::MoveResult moved = dt_.move_vertex(vid, p, slice.value(p));
-      delta_->apply(dt_, moved);
-      vid_refs_.erase(vid);
-      acquire(i, moved.vertex);
-    } else {
-      release(i);
-      const geo::InsertResult ins = dt_.insert(p, slice.value(p));
-      delta_->apply(dt_, ins);
-      acquire(i, ins.vertex);
-    }
-  }
-
-  // Batched sensor refresh: unmoved living nodes re-sense the advanced
-  // slice; every vertex whose z actually moved contributes its star to
-  // one z-update event.  (Moved/revived nodes carried fresh z already;
-  // aliased duplicates see the stored z equal and skip.)
-  std::vector<int> stars;
-  for (std::size_t i = 0; i < sim.node_count(); ++i) {
-    const int vid = node_vid_[i];
-    if (vid < geo::Delaunay::kCorners) continue;  // Dead (-1) or corner.
-    const double z = slice.value(node_pos_[i]);
-    if (z == dt_.vertex(vid).z) continue;
-    dt_.set_vertex_z(vid, z);
-    const std::vector<int> star = dt_.vertex_star(vid);
-    stars.insert(stars.end(), star.begin(), star.end());
-  }
-  if (!stars.empty()) {
-    std::sort(stars.begin(), stars.end());
-    stars.erase(std::unique(stars.begin(), stars.end()), stars.end());
-    delta_->apply_z_updates(dt_, stars);
-  }
-
-  refresh_corners(sim);
-  return delta_->value();
+  // CmaSimulation::current_delta's pipeline, with the surface kept.
+  const field::FieldSlice slice(sim.environment(), sim.time());
+  dt_ = reconstruct_surface(sim.sense_at_nodes(), metric_->region(),
+                            CornerPolicy::kNearestSample, &slice);
+  value_ = metric_->delta(slice, dt_);
+  return value_;
 }
 
 }  // namespace cps::core

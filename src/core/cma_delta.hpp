@@ -1,102 +1,49 @@
-// Per-slot δ trajectory for CMA through the cavity-local incremental
-// engine (core/delta_incremental.hpp).
+// Per-slot δ trajectory for CMA: a fresh reconstruction every slot.
 //
-// CmaSimulation::current_delta rebuilds a triangulation from scratch and
-// runs a full O(res²) lattice sweep every slot.  CmaDeltaTracker instead
-// keeps ONE persistent triangulation mirroring the living deployment and
-// folds each slot's churn into it as Delaunay events — moved nodes become
-// move_vertex reports, deaths become removals, revivals insertions, and
-// the sensor refresh one batched star z-update — each consumed by an
-// IncrementalDelta in O(changed area).  The reference slice advancing is
-// a retarget (fold-only O(res²) pass, no point location); under a
-// time-varying environment that pass is irreducible (the whole reference
-// moved), so the asymptotic win is in the geometry work, and under a
-// slow/static environment slots cost only their churn.
+// CMA moves nearly every node in every slot (about 930 of 1000 in the
+// Fig. 10 set-up), so a persistent triangulation fed one Delaunay event
+// per moved node re-evaluates several full lattice sweeps' worth of
+// points per slot.  Rebuilding the surface from the slot's samples and
+// running one raster sweep is the cheaper way to the same number.
 //
-// Equivalence contract: after every update(), value() is bit-identical to
-// metric.delta(FieldSlice(env, sim.time()), triangulation()) — the
-// incremental oracle protocol over the tracker's own triangulation.  It
-// is NOT bit-identical to sim.current_delta(metric): that path
-// re-triangulates from scratch each slot, and cocircular degeneracies
-// resolve by insertion history, so the two surfaces may differ on
-// measure-zero ties (the fig10 --incremental flag is opt-in for exactly
-// this reason; the sweep bench reports both).
-//
-// Node/vertex aliasing: several nodes can sense from one position (chase
-// pile-ups) and a mover can land on an occupied site, so vertices are
-// reference-counted; a vertex is removed only when its last node leaves.
-// Corner scaffolding ids are never removed — corner z follows
-// reconstruct_surface's nearest-sample rule (ties to the highest node
-// index, matching latest-insertion-wins) and changes flow through star
-// z-events.
+// CmaDeltaTracker is therefore a thin shell over exactly that pipeline:
+// construction and update() both run
+// reconstruct_surface(sim.sense_at_nodes(), region, kNearestSample) into
+// the kept triangulation and measure it with DeltaMetric::delta.  The
+// value is bit-identical to sim.current_delta(metric), cocircular tie
+// order included, because it is the same computation.  The triangulation
+// stays readable so callers can check δ against it independently.
 #pragma once
-
-#include <cstddef>
-#include <memory>
-#include <unordered_map>
-#include <vector>
 
 #include "core/cma.hpp"
 #include "core/delta.hpp"
-#include "core/delta_incremental.hpp"
 #include "geometry/delaunay.hpp"
 
 namespace cps::core {
 
-/// Incremental per-slot δ tracker over a CmaSimulation.  Not thread-safe;
-/// call update() exactly once after each sim.step(), from one thread.
+/// Per-slot δ of a CmaSimulation's living deployment.  Not thread-safe;
+/// call update() after each sim.step(), from one thread.
 class CmaDeltaTracker {
  public:
-  struct Stats {
-    std::size_t slots = 0;
-    std::size_t node_moves = 0;     ///< move_vertex events applied.
-    std::size_t node_deaths = 0;    ///< Vertices released by deaths.
-    std::size_t node_revivals = 0;  ///< Vertices (re-)inserted by revivals.
-    std::size_t merges = 0;         ///< Nodes aliased onto an occupied vertex.
-  };
-
-  /// Seeds the tracker from the simulation's current state (one full
-  /// sweep).  The metric is retained by reference and must outlive the
-  /// tracker; its region should equal the simulation's.
+  /// Measures the simulation's current state.  The metric is retained by
+  /// reference and must outlive the tracker; its region should equal the
+  /// simulation's.
   CmaDeltaTracker(const CmaSimulation& sim, const DeltaMetric& metric);
 
-  /// Folds the slot's churn in: retargets to the current time slice,
-  /// applies node moves/deaths/revivals as Delaunay events, refreshes
-  /// sensed z values (one batched star event) and the corner scaffolding,
-  /// and returns the slot's tracked δ.
+  /// Rebuilds the surface from the simulation's current samples and
+  /// returns its δ against the current time slice.
   double update(const CmaSimulation& sim);
 
-  /// The running δ of the tracked deployment against the last update's
-  /// (or construction's) reference slice.
-  double value() const noexcept { return delta_->value(); }
+  /// δ measured by the last update() (or by construction).
+  double value() const noexcept { return value_; }
 
+  /// The surface the last update() (or construction) measured.
   const geo::Delaunay& triangulation() const noexcept { return dt_; }
-  const Stats& stats() const noexcept { return stats_; }
-  const IncrementalDelta::Stats& delta_stats() const noexcept {
-    return delta_->stats();
-  }
 
  private:
-  /// Sensed value of a living node's position at the tracked slice time.
-  double sense(const CmaSimulation& sim, geo::Vec2 p) const;
-  /// Takes one reference on `vid` for `node`.
-  void acquire(std::size_t node, int vid);
-  /// Drops `node`'s reference; removes the vertex when it was the last
-  /// holder (never for corner scaffolding).  Feeds the removal into the
-  /// δ engine.
-  void release(std::size_t node);
-  /// Re-applies the nearest-sample corner rule; emits star z-events for
-  /// corners whose value moved.
-  void refresh_corners(const CmaSimulation& sim);
-
   const DeltaMetric* metric_;
   geo::Delaunay dt_;
-  std::unique_ptr<IncrementalDelta> delta_;
-  double slice_time_ = 0.0;
-  std::vector<int> node_vid_;           ///< Node -> vertex id (-1 = dead).
-  std::vector<geo::Vec2> node_pos_;     ///< Position backing node_vid_.
-  std::unordered_map<int, int> vid_refs_;
-  Stats stats_;
+  double value_ = 0.0;
 };
 
 }  // namespace cps::core

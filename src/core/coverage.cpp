@@ -7,7 +7,7 @@ namespace {
 
 void validate(double radius, const num::Rect& region,
               std::size_t resolution) {
-  if (radius <= 0.0) throw std::invalid_argument("coverage: radius <= 0");
+  if (!(radius > 0.0)) throw std::invalid_argument("coverage: radius <= 0");
   if (resolution == 0) throw std::invalid_argument("coverage: resolution");
   if (region.width() <= 0.0 || region.height() <= 0.0) {
     throw std::invalid_argument("coverage: empty region");

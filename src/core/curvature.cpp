@@ -20,8 +20,8 @@ int half_cells(double radius, double spacing) {
 SensingPatch::SensingPatch(const field::Field& f, geo::Vec2 center,
                            double radius, double spacing)
     : center_(center), radius_(radius), spacing_(spacing) {
-  if (radius <= 0.0) throw std::invalid_argument("SensingPatch: radius");
-  if (spacing <= 0.0) throw std::invalid_argument("SensingPatch: spacing");
+  if (!(radius > 0.0)) throw std::invalid_argument("SensingPatch: radius");
+  if (!(spacing > 0.0)) throw std::invalid_argument("SensingPatch: spacing");
 
   const int h = half_cells(radius, spacing);
   const int side = 2 * h + 1;
@@ -131,10 +131,12 @@ SensingPatch::SensingPatch(const field::Field& f, geo::Vec2 center,
 
 CurvatureEstimator::CurvatureEstimator(double sensing_radius, double spacing)
     : radius_(sensing_radius), spacing_(spacing) {
-  if (sensing_radius <= 0.0) {
+  if (!(sensing_radius > 0.0)) {
     throw std::invalid_argument("CurvatureEstimator: radius");
   }
-  if (spacing <= 0.0) throw std::invalid_argument("CurvatureEstimator: spacing");
+  if (!(spacing > 0.0)) {
+    throw std::invalid_argument("CurvatureEstimator: spacing");
+  }
 }
 
 num::QuadricFit CurvatureEstimator::fit_at(const field::Field& f,

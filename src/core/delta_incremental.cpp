@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <span>
-#include <stdexcept>
 
 #include "core/delta_detail.hpp"
 #include "obs/obs.hpp"
@@ -142,32 +141,6 @@ void IncrementalDelta::rebuild(const geo::Delaunay& dt) {
   }
   ++stats_.rebuilds;
   CPS_COUNT("core.delta.inc_rebuilds", 1);
-}
-
-void IncrementalDelta::apply_z_updates(const geo::Delaunay& dt,
-                                       const std::vector<int>& star_triangles) {
-  ++stats_.events;
-  CPS_COUNT("core.delta.inc_events", 1);
-  ++epoch_;
-  dirty_points_.clear();
-  const std::size_t rows = mark_dirty(dt, star_triangles);
-  stats_.rows_touched += rows;
-  CPS_COUNT("core.delta.inc_rows", rows);
-  process_dirty(dt, /*reassign=*/false);
-}
-
-void IncrementalDelta::retarget(const DeltaMetric& metric,
-                                const field::Field& reference) {
-  if (metric.resolution() != res_ || metric.region().x0 != region_.x0 ||
-      metric.region().y0 != region_.y0 || metric.region().x1 != region_.x1 ||
-      metric.region().y1 != region_.y1) {
-    throw std::invalid_argument(
-        "IncrementalDelta::retarget: metric lattice mismatch");
-  }
-  ref_rows_ = metric.reference_lattice(reference);
-  for (std::size_t c = 0; c < chunk_sums_.size(); ++c) refold_chunk(c);
-  ++stats_.retargets;
-  CPS_COUNT("core.delta.inc_retargets", 1);
 }
 
 std::size_t IncrementalDelta::mark_dirty(const geo::Delaunay& dt,

@@ -56,7 +56,6 @@ class IncrementalDelta {
     std::size_t keeps = 0;               ///< Dirty points whose assignment survived.
     std::size_t relocates = 0;           ///< Dirty points re-walked via locate_from.
     std::size_t rebuilds = 0;            ///< Full sweeps (construction).
-    std::size_t retargets = 0;           ///< Reference swaps (fold-only passes).
     /// Lattice points one full sweep evaluates (res²): events *
     /// full_sweep_points is what the from-scratch path would have cost.
     std::size_t full_sweep_points = 0;
@@ -82,23 +81,6 @@ class IncrementalDelta {
   /// Consumes one relocation report (re-rasters changed_triangles, which
   /// cover both the old star and the new cavity).
   void apply(const geo::Delaunay& dt, const geo::MoveResult& r);
-
-  /// Consumes a batched z-update report: the union of the stars of every
-  /// vertex whose z changed this step, as one event.  Topology untouched —
-  /// assignments and hint chains stay valid; only the covered
-  /// contributions re-interpolate.  CMA folds a whole slot's sensor
-  /// refresh through this instead of one star event per node.
-  void apply_z_updates(const geo::Delaunay& dt,
-                       const std::vector<int>& star_triangles);
-
-  /// Swaps the reference field without touching the triangulation state:
-  /// pins the new reference lattice and re-folds every chunk from the
-  /// stored per-point surface values — O(res²) additions, no point
-  /// location and no interpolation.  The metric must have this tracker's
-  /// region and resolution (throws std::invalid_argument otherwise).
-  /// CMA's per-slot trajectory retargets when the reference slice
-  /// advances.
-  void retarget(const DeltaMetric& metric, const field::Field& reference);
 
   /// The running δ: ascending fold of the chunk partial sums times the
   /// cell area — exactly DeltaMetric::delta()'s final arithmetic.
@@ -130,7 +112,6 @@ class IncrementalDelta {
   std::vector<int> assign_;        ///< Point -> containing triangle id.
   std::vector<char> strict_;       ///< Point strictly inside assign_?
   /// DT(p) at the point (raster phase-2 bits, degenerate guard applied).
-  /// Stored instead of |ref - DT| so a reference swap is fold-only.
   std::vector<double> interp_;
   std::vector<double> chunk_sums_; ///< Serial point-order |ref-DT| fold.
   /// Sorted indices of the non-strict points (re-walked every topology

@@ -9,7 +9,7 @@ namespace cps::core {
 IdwField::IdwField(std::span<const Sample> samples, double power)
     : samples_(samples.begin(), samples.end()), power_(power) {
   if (samples_.empty()) throw std::invalid_argument("IdwField: no samples");
-  if (power <= 0.0) throw std::invalid_argument("IdwField: power <= 0");
+  if (!(power > 0.0)) throw std::invalid_argument("IdwField: power <= 0");
 }
 
 double IdwField::do_value(geo::Vec2 p) const {

@@ -24,8 +24,8 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
+#include <unordered_map>
 #include <utility>
 
 #include "geometry/vec2.hpp"
@@ -183,6 +183,11 @@ class DistanceLossLink final : public LinkModel {
 /// with a per-state loss probability.  Expected burst length in the bad
 /// state is 1 / p_bad_to_good, so small transition probabilities give
 /// long fades — the regime i.i.d. loss cannot express.
+///
+/// Node ids must fit in 32 bits: the per-link state is one hash table
+/// keyed by (from << 32 | to).  An in-range transmit() with a wider id
+/// calls std::terminate (transmit() is noexcept) rather than alias
+/// another link's state.
 class GilbertElliottLink final : public LinkModel {
  public:
   struct Params {
@@ -213,8 +218,10 @@ class GilbertElliottLink final : public LinkModel {
   double radius_;
   Params params_;
   num::Rng rng_;
-  /// Directed link -> in-bad-state.  Absent means good (the start state).
-  std::map<std::pair<NodeId, NodeId>, bool> bad_;
+  /// Directed link (from << 32 | to) -> in-bad-state.  Absent means
+  /// good (the start state).  Nothing iterates it, so the hash layout
+  /// cannot reach an outcome.
+  std::unordered_map<std::uint64_t, bool> bad_;
 };
 
 }  // namespace cps::net

@@ -7,8 +7,8 @@ namespace cps::net {
 DiskRadio::DiskRadio(double radius, double loss_probability,
                      std::uint64_t seed)
     : radius_(radius), loss_(loss_probability), rng_(seed) {
-  if (radius <= 0.0) throw std::invalid_argument("DiskRadio: radius <= 0");
-  if (loss_probability < 0.0 || loss_probability > 1.0) {
+  if (!(radius > 0.0)) throw std::invalid_argument("DiskRadio: radius <= 0");
+  if (!(loss_probability >= 0.0 && loss_probability <= 1.0)) {
     throw std::invalid_argument("DiskRadio: loss probability");
   }
 }

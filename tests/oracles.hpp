@@ -5,11 +5,17 @@
 //  * walk_delta: δ by locating every lattice point with a remembering
 //    walk, instead of DeltaMetric's triangle rasterisation;
 //  * in_range_receivers: MessageBus receiver lists by testing every node
-//    against every sender, instead of core::ShardGrid's tile matching.
+//    against every sender, instead of core::ShardGrid's tile matching;
+//  * MapGilbertElliott: the Gilbert–Elliott channel with its per-link
+//    state in an ordered map keyed by the id pair, instead of
+//    GilbertElliottLink's packed-key hash table.
 #pragma once
 
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <map>
+#include <utility>
 #include <vector>
 
 #include "core/delta.hpp"
@@ -17,7 +23,9 @@
 #include "field/field.hpp"
 #include "geometry/delaunay.hpp"
 #include "geometry/triangle.hpp"
+#include "net/link_model.hpp"
 #include "net/message_bus.hpp"
+#include "numerics/rng.hpp"
 #include "numerics/quadrature.hpp"
 #include "parallel/thread_pool.hpp"
 
@@ -73,5 +81,38 @@ auto in_range_receivers(const net::MessageBus<M>& bus) {
     return out;
   };
 }
+
+/// Gilbert–Elliott channel written out from its definition: no draw out
+/// of range; in range, one Markov step on the directed link's state, then
+/// one loss draw in the new state.  State lives in a std::map keyed by
+/// the (from, to) pair, so ids of any width and any access order map to
+/// their own link.  Copyable, so a copy stands in for clone().
+class MapGilbertElliott {
+ public:
+  MapGilbertElliott(double radius, const net::GilbertElliottLink::Params& p,
+                    std::uint64_t seed)
+      : radius_(radius), params_(p), rng_(seed) {}
+
+  bool transmit(net::NodeId from, net::NodeId to, geo::Vec2 from_pos,
+                geo::Vec2 to_pos) {
+    if (geo::distance_sq(from_pos, to_pos) > radius_ * radius_) return false;
+    bool& bad = bad_[{from, to}];
+    if (rng_.bernoulli(bad ? params_.p_bad_to_good : params_.p_good_to_bad)) {
+      bad = !bad;
+    }
+    return !rng_.bernoulli(bad ? params_.loss_bad : params_.loss_good);
+  }
+
+  bool link_is_bad(net::NodeId from, net::NodeId to) const {
+    const auto it = bad_.find({from, to});
+    return it != bad_.end() && it->second;
+  }
+
+ private:
+  double radius_;
+  net::GilbertElliottLink::Params params_;
+  num::Rng rng_;
+  std::map<std::pair<net::NodeId, net::NodeId>, bool> bad_;
+};
 
 }  // namespace cps::oracle

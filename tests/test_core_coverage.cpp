@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <numbers>
 
 #include "core/planner.hpp"
@@ -19,6 +20,9 @@ TEST(Coverage, Validation) {
                std::invalid_argument);
   EXPECT_THROW(coverage_fraction(one, 5.0, num::Rect{0.0, 0.0, 0.0, 1.0}),
                std::invalid_argument);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(coverage_fraction(one, nan, kRegion), std::invalid_argument);
+  EXPECT_THROW(covered_area(one, nan, kRegion), std::invalid_argument);
 }
 
 TEST(Coverage, EmptyDeploymentCoversNothing) {

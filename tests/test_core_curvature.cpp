@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <numbers>
+#include <string>
 #include <tuple>
 
 #include "field/analytic_fields.hpp"
@@ -18,6 +20,20 @@ TEST(SensingPatch, Validation) {
   EXPECT_THROW(SensingPatch(f, {0.0, 0.0}, 5.0, 0.0), std::invalid_argument);
   // Radius below the lattice pitch leaves a single sample.
   EXPECT_THROW(SensingPatch(f, {0.0, 0.0}, 0.4, 1.0), std::invalid_argument);
+  // NaN fails every ordered comparison, so each must be rejected too —
+  // by its own argument check, not by a later one after NaN has reached
+  // the lattice arithmetic (a NaN-to-int cast is undefined).
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const auto rejected_as = [&](double radius, double spacing) {
+    try {
+      SensingPatch(f, {0.0, 0.0}, radius, spacing);
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("accepted");
+  };
+  EXPECT_EQ(rejected_as(nan, 1.0), "SensingPatch: radius");
+  EXPECT_EQ(rejected_as(5.0, nan), "SensingPatch: spacing");
 }
 
 TEST(SensingPatch, SampleCountApproximatesDiskArea) {
@@ -89,6 +105,9 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(CurvatureEstimator, Validation) {
   EXPECT_THROW(CurvatureEstimator(0.0), std::invalid_argument);
   EXPECT_THROW(CurvatureEstimator(5.0, -1.0), std::invalid_argument);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(CurvatureEstimator{nan}, std::invalid_argument);
+  EXPECT_THROW(CurvatureEstimator(5.0, nan), std::invalid_argument);
 }
 
 TEST(CurvatureEstimator, MatchesSensingPatch) {

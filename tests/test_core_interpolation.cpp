@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "core/delta.hpp"
 #include "core/planner.hpp"
 #include "field/analytic_fields.hpp"
@@ -44,6 +46,8 @@ TEST(IdwField, Validation) {
   const std::vector<Sample> one{{{1.0, 1.0}, 5.0}};
   EXPECT_THROW(IdwField(one, 0.0), std::invalid_argument);
   EXPECT_THROW(IdwField(one, -1.0), std::invalid_argument);
+  EXPECT_THROW(IdwField(one, std::numeric_limits<double>::quiet_NaN()),
+               std::invalid_argument);
 }
 
 TEST(IdwField, ExactAtSamples) {

@@ -1,6 +1,7 @@
 // Tests for the radio model and message bus (net/*).
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -25,6 +26,11 @@ TEST(DiskRadio, Validation) {
   EXPECT_THROW(DiskRadio(0.0), std::invalid_argument);
   EXPECT_THROW(DiskRadio(10.0, -0.1), std::invalid_argument);
   EXPECT_THROW(DiskRadio(10.0, 1.1), std::invalid_argument);
+  // NaN fails every ordered comparison, so each must be rejected too.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(DiskRadio{nan}, std::invalid_argument);
+  EXPECT_THROW(DiskRadio(10.0, nan), std::invalid_argument);
+  EXPECT_THROW(DiskLink{nan}, std::invalid_argument);
 }
 
 TEST(DiskRadio, LosslessTransmitMatchesRange) {

@@ -2,12 +2,16 @@
 // net/link_model.hpp) and the MessageBus liveness/accounting semantics.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <utility>
+#include <vector>
 
 #include "net/fault.hpp"
 #include "net/link_model.hpp"
 #include "net/message_bus.hpp"
+#include "numerics/rng.hpp"
 #include "obs/obs.hpp"
 #include "oracles.hpp"
 
@@ -113,6 +117,10 @@ TEST(DistanceLossLink, Validation) {
   EXPECT_THROW(DistanceLossLink(0.0, 0.5), std::invalid_argument);
   EXPECT_THROW(DistanceLossLink(10.0, 1.5), std::invalid_argument);
   EXPECT_THROW(DistanceLossLink(10.0, 0.5, 0.0), std::invalid_argument);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(DistanceLossLink(nan, 0.5), std::invalid_argument);
+  EXPECT_THROW(DistanceLossLink(10.0, nan), std::invalid_argument);
+  EXPECT_THROW(DistanceLossLink(10.0, 0.5, nan), std::invalid_argument);
 }
 
 TEST(DistanceLossLink, LossGrowsWithDistance) {
@@ -143,6 +151,18 @@ TEST(GilbertElliottLink, Validation) {
   EXPECT_THROW(GilbertElliottLink(0.0, p), std::invalid_argument);
   p.loss_bad = 1.5;
   EXPECT_THROW(GilbertElliottLink(10.0, p), std::invalid_argument);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(GilbertElliottLink(nan, GilbertElliottLink::Params{}),
+               std::invalid_argument);
+  for (double GilbertElliottLink::Params::*field :
+       {&GilbertElliottLink::Params::p_good_to_bad,
+        &GilbertElliottLink::Params::p_bad_to_good,
+        &GilbertElliottLink::Params::loss_good,
+        &GilbertElliottLink::Params::loss_bad}) {
+    GilbertElliottLink::Params q;
+    q.*field = nan;
+    EXPECT_THROW(GilbertElliottLink(10.0, q), std::invalid_argument);
+  }
 }
 
 TEST(GilbertElliottLink, LossesComeInBursts) {
@@ -185,6 +205,68 @@ TEST(GilbertElliottLink, PerLinkStateIsIndependent) {
   EXPECT_TRUE(link.link_is_bad(0, 1));
   EXPECT_FALSE(link.link_is_bad(1, 0));  // The reverse link is untouched.
   EXPECT_FALSE(link.link_is_bad(2, 3));
+}
+
+TEST(GilbertElliottLink, MatchesMapReferenceThroughCloneOverRandomTransmits) {
+  // Fast transitions and distinct per-state losses, so the outcome of each
+  // attempt depends on its link's state.
+  GilbertElliottLink::Params p;
+  p.p_good_to_bad = 0.3;
+  p.p_bad_to_good = 0.4;
+  p.loss_good = 0.1;
+  p.loss_bad = 0.8;
+  GilbertElliottLink link(10.0, p, 77);
+  oracle::MapGilbertElliott ref(10.0, p, 77);
+  std::unique_ptr<LinkModel> copy;
+  oracle::MapGilbertElliott copy_ref = ref;
+
+  // Ids include both 32-bit halves' extremes, so a packing that dropped or
+  // mixed bits would alias links these pairs keep apart.
+  const std::vector<NodeId> ids{0, 1, 2, 3, 5, 8, 13, 21, 34, 55,
+                                (NodeId{1} << 31), 0xFFFFFFFFu};
+  num::Rng draw(2024);
+  std::vector<std::pair<NodeId, NodeId>> touched;
+  std::size_t in_range = 0;
+  const int n = 12000;
+  for (int i = 0; i < n; ++i) {
+    if (i == n / 2) {
+      copy = link.clone();
+      copy_ref = ref;
+    }
+    const auto pick = [&] {
+      return ids[static_cast<std::size_t>(
+          draw.uniform_int(0, static_cast<std::int64_t>(ids.size()) - 1))];
+    };
+    const NodeId from = pick();
+    const NodeId to = pick();
+    // Endpoints 0-20 m apart on each axis: a mix of in- and out-of-range.
+    const geo::Vec2 a{draw.uniform(0.0, 20.0), draw.uniform(0.0, 20.0)};
+    const geo::Vec2 b{draw.uniform(0.0, 20.0), draw.uniform(0.0, 20.0)};
+    in_range += link.in_range(a, b) ? 1 : 0;
+    touched.emplace_back(from, to);
+    ASSERT_EQ(link.transmit(from, to, a, b), ref.transmit(from, to, a, b))
+        << "attempt " << i;
+    if (copy != nullptr) {
+      ASSERT_EQ(copy->transmit(to, from, b, a),
+                copy_ref.transmit(to, from, b, a))
+          << "clone attempt " << i;
+    }
+  }
+  EXPECT_GT(in_range, static_cast<std::size_t>(n) / 4);
+  EXPECT_LT(in_range, static_cast<std::size_t>(3 * n) / 4);
+
+  const auto& cloned = dynamic_cast<const GilbertElliottLink&>(*copy);
+  std::size_t bad = 0;
+  for (const auto& [from, to] : touched) {
+    ASSERT_EQ(link.link_is_bad(from, to), ref.link_is_bad(from, to));
+    ASSERT_EQ(cloned.link_is_bad(from, to), copy_ref.link_is_bad(from, to));
+    ASSERT_EQ(cloned.link_is_bad(to, from), copy_ref.link_is_bad(to, from));
+    bad += link.link_is_bad(from, to) ? 1 : 0;
+  }
+  EXPECT_GT(bad, 0u);  // Both states are held at the end.
+  EXPECT_LT(bad, touched.size());
+  // An id wider than 32 bits never got state: its link is good.
+  EXPECT_FALSE(link.link_is_bad(NodeId{1} << 40, 0));
 }
 
 // --- MessageBus liveness -------------------------------------------------
