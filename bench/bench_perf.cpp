@@ -287,9 +287,8 @@ Record run_delta_incremental(const field::Field& frame, std::size_t k,
   positions_out = result.deployment.positions;
 
   read_counters(rec, {"core.delta.inc_events", "core.delta.inc_points",
-                      "core.delta.inc_rows", "core.delta.inc_keep_assigns",
-                      "core.delta.inc_relocates", "core.delta.inc_rebuilds",
-                      "geometry.delaunay.locates"});
+                      "core.delta.inc_rows", "core.delta.inc_relocates",
+                      "core.delta.inc_rebuilds", "geometry.delaunay.locates"});
 
   const auto& ds = result.delta_stats;
   const double events =

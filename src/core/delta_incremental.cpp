@@ -55,9 +55,10 @@ void IncrementalDelta::rebuild(const geo::Delaunay& dt) {
   fallback_.clear();
   point_epoch_.assign(n, 0);
   row_epoch_.assign(res_, 0);
+  row_lo_.assign(res_, 0);
+  row_hi_.assign(res_, -1);
   chunk_epoch_.assign(chunks, 0);
   epoch_ = 0;
-  dirty_points_.clear();
 
   // Full sweep, replaying delta_raster exactly: span emission, per-row
   // (ilo, tri) span order, strict fast assignment, hint-chained fallback
@@ -144,26 +145,52 @@ void IncrementalDelta::rebuild(const geo::Delaunay& dt) {
 }
 
 std::size_t IncrementalDelta::mark_dirty(const geo::Delaunay& dt,
-                                         const std::vector<int>& tris) {
+                                         const std::vector<int>& tris,
+                                         bool reassign) {
   const auto res = static_cast<long>(res_);
+  const std::span<const double> xs = lat_.xs();
   std::size_t rows = 0;
   for (const int tid : tris) {
     if (!dt.triangle_alive(tid)) continue;
     const auto& t = dt.triangle(tid);
+    const geo::DtVertex& va = dt.vertex(t.v[0]);
+    const geo::DtVertex& vb = dt.vertex(t.v[1]);
+    const geo::DtVertex& vc = dt.vertex(t.v[2]);
+    const geo::Vec2 a = va.pos;
+    const geo::Vec2 b = vb.pos;
+    const geo::Vec2 c = vc.pos;
+    const double total = geo::orient2d_value(a, b, c);
     detail::for_each_covered_range(
-        dt.vertex(t.v[0]).pos, dt.vertex(t.v[1]).pos, dt.vertex(t.v[2]).pos,
-        region_, lat_, res, [&](long j, long ilo, long ihi) {
+        a, b, c, region_, lat_, res, [&](long j, long ilo, long ihi) {
           const auto row = static_cast<std::size_t>(j);
           if (row_epoch_[row] != epoch_) {
             row_epoch_[row] = epoch_;
+            row_lo_[row] = static_cast<int>(ilo);
+            row_hi_[row] = static_cast<int>(ihi);
             ++rows;
+          } else {
+            row_lo_[row] = std::min(row_lo_[row], static_cast<int>(ilo));
+            row_hi_[row] = std::max(row_hi_[row], static_cast<int>(ihi));
           }
+          const double y = lat_.y(row);
           const std::size_t base = row * res_;
           for (long i = ilo; i <= ihi; ++i) {
             const std::size_t k = base + static_cast<std::size_t>(i);
             if (point_epoch_[k] != epoch_) {
               point_epoch_[k] = epoch_;
-              dirty_points_.push_back(static_cast<std::uint32_t>(k));
+              // Unresolved until a created triangle strictly contains it;
+              // assign_ keeps the old triangle for the walk's comparison.
+              if (reassign) strict_[k] = 0;
+            }
+            if (!reassign || strict_[k] != 0) continue;
+            // Strict containment is unique and hint-independent, so this is
+            // the triangle the fresh sweep fast-assigns (DESIGN.md §13).
+            const double x = xs[static_cast<std::size_t>(i)];
+            if (detail::strictly_inside(a, b, c, {x, y})) {
+              assign_[k] = tid;
+              strict_[k] = 1;
+              interp_[k] = detail::interpolate_point(
+                  a.x, a.y, b.x, b.y, c.x, c.y, va.z, vb.z, vc.z, total, x, y);
             }
           }
         });
@@ -173,120 +200,123 @@ std::size_t IncrementalDelta::mark_dirty(const geo::Delaunay& dt,
 
 void IncrementalDelta::process_dirty(const geo::Delaunay& dt,
                                      bool reassign) {
-  if (reassign) {
-    // Non-strict points sit on edges/vertices, where assignment is
-    // hint-dependent: any upstream change can shift the hint they would
-    // be walked with, so they are re-walked on every topology event.
-    // They stay unstamped, so point_epoch_ still tells the points the
-    // event covered apart from them below.
-    for (const std::uint32_t k : fallback_) {
-      if (point_epoch_[k] != epoch_) dirty_points_.push_back(k);
-    }
-  }
-  // Ascending order: a relocation at k reads assign_[k - 1], which must
-  // already hold its final (this-event) value to replay the fresh sweep's
-  // hint chain.
-  std::sort(dirty_points_.begin(), dirty_points_.end());
-
   const std::span<const double> xs = lat_.xs();
-  std::vector<std::uint32_t> dirty_chunks;
-  for (const std::uint32_t k : dirty_points_) {
-    const std::size_t j = k / res_;
-    const std::size_t i = k % res_;
-    const geo::Vec2 p{xs[i], lat_.y(j)};
-    if (reassign) {
-      const int old_tid = assign_[k];
-      // A strict assignment is kept only while its triangle is alive and
-      // still strictly contains the point.  Strict containment is unique,
-      // so this is exactly the triangle a fresh span sweep would fast-
-      // assign — even when the slot was recycled into new geometry.
-      const bool keep = strict_[k] != 0 && dt.triangle_alive(old_tid) &&
-                        detail::strictly_inside(dt, old_tid, p);
-      if (keep) {
-        ++stats_.keeps;
-        CPS_COUNT("core.delta.inc_keep_assigns", 1);
-      } else {
-        const int hint = chunk_first(k) ? -1 : assign_[k - 1];
-        const int tid = dt.locate_from(p, hint);
-        ++stats_.relocates;
-        CPS_COUNT("core.delta.inc_relocates", 1);
-        // A point the event did not cover still lies in its stored
-        // triangle, which was not removed (so its id was not recycled)
-        // and whose vertices kept their z: landing on it again leaves
-        // the contribution, and the point's chunk sum, as they were.
-        if (tid == old_tid && point_epoch_[k] != epoch_) continue;
-        assign_[k] = tid;
-        strict_[k] = detail::strictly_inside(dt, tid, p) ? 1 : 0;
-      }
-    }
-    interp_[k] = detail::interpolate_point(dt, assign_[k], p);
+  std::size_t points = 0;
+  dirty_chunks_.clear();
+  next_fallback_.clear();
+  const auto touch_chunk = [&](std::size_t k) {
     const auto c = static_cast<std::uint32_t>(chunk_of(k));
     if (chunk_epoch_[c] != epoch_) {
       chunk_epoch_[c] = epoch_;
-      dirty_chunks.push_back(c);
+      dirty_chunks_.push_back(c);
+    }
+  };
+  // Replays the fresh sweep's walk for point k: the hint is the previous
+  // point's assignment (-1 at a chunk head), which already holds its
+  // final value because points are visited in ascending order.
+  const auto relocate = [&](std::size_t k) {
+    const geo::Vec2 p{xs[k % res_], lat_.y(k / res_)};
+    const int old_tid = assign_[k];
+    const int hint = chunk_first(k) ? -1 : assign_[k - 1];
+    const int tid = dt.locate_from(p, hint);
+    ++stats_.relocates;
+    CPS_COUNT("core.delta.inc_relocates", 1);
+    // A point the event did not cover still lies in its stored triangle,
+    // which was not removed (so its id was not recycled) and whose
+    // vertices kept their z: landing on it again leaves the contribution,
+    // and the point's chunk sum, as they were.
+    if (tid == old_tid && point_epoch_[k] != epoch_) return;
+    assign_[k] = tid;
+    strict_[k] = detail::strictly_inside(dt, tid, p) ? 1 : 0;
+    interp_[k] = detail::interpolate_point(dt, tid, p);
+    touch_chunk(k);
+  };
+  // Non-strict points sit on edges/vertices, where assignment is
+  // hint-dependent: any upstream change can shift the hint they would be
+  // walked with, so the ones the event did not cover are merged into the
+  // ascending visit and re-walked on every topology event.
+  std::size_t f = 0;
+  const auto visit_fallback_below = [&](std::size_t limit) {
+    for (; f < fallback_.size() && fallback_[f] < limit; ++f) {
+      const std::uint32_t k = fallback_[f];
+      if (point_epoch_[k] == epoch_) continue;  // Visited as covered.
+      ++points;
+      relocate(k);
+      if (strict_[k] == 0) next_fallback_.push_back(k);
+    }
+  };
+
+  // Covered points in ascending order, straight from the row stamps.
+  for (std::size_t row = 0; row < res_; ++row) {
+    if (row_epoch_[row] != epoch_) continue;
+    const std::size_t base = row * res_;
+    for (auto i = static_cast<std::size_t>(row_lo_[row]);
+         i <= static_cast<std::size_t>(row_hi_[row]); ++i) {
+      const std::size_t k = base + i;
+      if (point_epoch_[k] != epoch_) continue;
+      ++points;
+      if (!reassign) {
+        // Topology untouched: same triangle, new vertex z.
+        interp_[k] =
+            detail::interpolate_point(dt, assign_[k], {xs[i], lat_.y(row)});
+        touch_chunk(k);
+        continue;
+      }
+      visit_fallback_below(k);
+      if (strict_[k] == 0) relocate(k);  // Guard band, edge or vertex.
+      touch_chunk(k);
+      if (strict_[k] == 0) next_fallback_.push_back(k);
     }
   }
   if (reassign) {
-    // Every previously non-strict point is in the dirty set, so the new
-    // fallback list is exactly the dirty points that ended non-strict
-    // (already in ascending order).
-    fallback_.clear();
-    for (const std::uint32_t k : dirty_points_) {
-      if (strict_[k] == 0) fallback_.push_back(k);
-    }
+    visit_fallback_below(res_ * res_);
+    // Every previously non-strict point was visited, so the new fallback
+    // list is exactly the visited points that ended non-strict, already
+    // in ascending order.
+    fallback_.swap(next_fallback_);
   }
-  for (const std::uint32_t c : dirty_chunks) refold_chunk(c);
-  stats_.points_reevaluated += dirty_points_.size();
-  CPS_COUNT("core.delta.inc_points", dirty_points_.size());
+  for (const std::uint32_t c : dirty_chunks_) refold_chunk(c);
+  stats_.points_reevaluated += points;
+  CPS_COUNT("core.delta.inc_points", points);
+}
+
+void IncrementalDelta::reraster(const geo::Delaunay& dt,
+                                const std::vector<int>& tris, bool reassign) {
+  ++stats_.events;
+  CPS_COUNT("core.delta.inc_events", 1);
+  ++epoch_;
+  const std::size_t rows = mark_dirty(dt, tris, reassign);
+  stats_.rows_touched += rows;
+  CPS_COUNT("core.delta.inc_rows", rows);
+  process_dirty(dt, reassign);
 }
 
 void IncrementalDelta::apply(const geo::Delaunay& dt,
                              const geo::InsertResult& r) {
-  ++stats_.events;
-  CPS_COUNT("core.delta.inc_events", 1);
-  ++epoch_;
-  dirty_points_.clear();
   if (r.inserted) {
     // The created fan covers the cavity (and therefore every removed
-    // triangle's region): marking it catches every point whose surface
-    // value or assignment the insertion could have moved.
-    const std::size_t rows = mark_dirty(dt, r.created_triangles);
-    stats_.rows_touched += rows;
-    CPS_COUNT("core.delta.inc_rows", rows);
-    process_dirty(dt, /*reassign=*/true);
+    // triangle's region): re-rastering it catches every point whose
+    // surface value or assignment the insertion could have moved.
+    reraster(dt, r.created_triangles, /*reassign=*/true);
   } else if (r.z_changed) {
     // Duplicate-tolerance hit: topology untouched, surface moved over the
     // star.  Assignments and hint chains are already what a fresh sweep
     // produces; only the covered contributions need re-interpolating.
-    const std::size_t rows = mark_dirty(dt, r.star_triangles);
-    stats_.rows_touched += rows;
-    CPS_COUNT("core.delta.inc_rows", rows);
-    process_dirty(dt, /*reassign=*/false);
+    reraster(dt, r.star_triangles, /*reassign=*/false);
+  } else {
+    ++stats_.events;  // A pure duplicate changes nothing.
+    CPS_COUNT("core.delta.inc_events", 1);
   }
 }
 
 void IncrementalDelta::apply(const geo::Delaunay& dt,
                              const geo::RemoveResult& r) {
-  ++stats_.events;
-  CPS_COUNT("core.delta.inc_events", 1);
-  ++epoch_;
-  dirty_points_.clear();
-  const std::size_t rows = mark_dirty(dt, r.created_triangles);
-  stats_.rows_touched += rows;
-  CPS_COUNT("core.delta.inc_rows", rows);
-  process_dirty(dt, /*reassign=*/true);
+  reraster(dt, r.created_triangles, /*reassign=*/true);
 }
 
 void IncrementalDelta::apply(const geo::Delaunay& dt,
                              const geo::MoveResult& r) {
-  ++stats_.events;
-  CPS_COUNT("core.delta.inc_events", 1);
-  ++epoch_;
-  dirty_points_.clear();
-  const std::size_t rows = mark_dirty(dt, r.changed_triangles);
-  stats_.rows_touched += rows;
-  CPS_COUNT("core.delta.inc_rows", rows);
-  process_dirty(dt, /*reassign=*/true);
+  reraster(dt, r.changed_triangles, /*reassign=*/true);
 }
 
 double IncrementalDelta::value() const noexcept {

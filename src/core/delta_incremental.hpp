@@ -13,12 +13,14 @@
 // bit-identical to a fresh DeltaMetric::delta() of the same triangulation
 // (and therefore to locating every point with a remembering walk).  That
 // holds because
-//  * assignments are re-derived through the raster's own rules — a stored
-//    strict assignment is kept only while its triangle is alive and still
-//    strictly contains the point (strict containment is unique and
-//    hint-independent), every other dirty point replays locate_from with
-//    the exact hint the fresh sweep would carry (the previous point's
-//    assignment, -1 at a chunk head of detail::kChunkRows rows);
+//  * assignments are re-derived through the raster's own rules — a
+//    covered point strictly inside a created triangle takes it straight
+//    from the span being scanned (strict containment is unique and
+//    hint-independent, so it is the fresh sweep's fast assignment), every
+//    other dirty point replays locate_from with the exact hint the fresh
+//    sweep would carry (the previous point's assignment, -1 at a chunk
+//    head of detail::kChunkRows rows), visiting points in ascending order
+//    so that hint is already final;
 //  * non-strict (edge/vertex) points are re-walked on EVERY topology
 //    event, dirty region or not — their assignment is hint-dependent, so
 //    staleness is never allowed to accumulate through them; one outside
@@ -53,7 +55,6 @@ class IncrementalDelta {
     std::size_t events = 0;              ///< Applied event reports.
     std::size_t points_reevaluated = 0;  ///< Lattice cells re-assigned/-interpolated.
     std::size_t rows_touched = 0;        ///< Lattice rows containing such cells.
-    std::size_t keeps = 0;               ///< Dirty points whose assignment survived.
     std::size_t relocates = 0;           ///< Dirty points re-walked via locate_from.
     std::size_t rebuilds = 0;            ///< Full sweeps (construction).
     /// Lattice points one full sweep evaluates (res²): events *
@@ -91,14 +92,22 @@ class IncrementalDelta {
 
  private:
   void rebuild(const geo::Delaunay& dt);
-  /// Marks every lattice cell covered by `tris` dirty (epoch-stamped) and
-  /// appends fresh indices to dirty_points_; returns rows touched.
+  /// One event: marks the cells `tris` cover, re-evaluates them (and, with
+  /// `reassign`, the non-strict points) and re-folds their chunks.
+  /// `reassign` is false for pure z-change events (topology untouched:
+  /// assignments and hint chains are already what a fresh sweep would
+  /// produce).
+  void reraster(const geo::Delaunay& dt, const std::vector<int>& tris,
+                bool reassign);
+  /// Stamps every lattice cell covered by `tris` (point, row, and the
+  /// row's column extent); returns rows touched.  With `reassign`, a
+  /// stamped point strictly inside one of `tris` takes that triangle and
+  /// its contribution here, straight from the span being scanned.
   std::size_t mark_dirty(const geo::Delaunay& dt,
-                         const std::vector<int>& tris);
-  /// Re-assigns + re-interpolates the collected dirty points, then
-  /// re-folds their chunks.  `reassign` is false for pure z-change events
-  /// (topology untouched: assignments and hint chains are already what a
-  /// fresh sweep would produce).
+                         const std::vector<int>& tris, bool reassign);
+  /// Visits the stamped points (merged with the uncovered non-strict
+  /// ones when reassigning) in ascending order: walks the unresolved
+  /// ones, re-interpolates, and re-folds the dirty chunks.
   void process_dirty(const geo::Delaunay& dt, bool reassign);
   bool chunk_first(std::size_t k) const noexcept;
   std::size_t chunk_of(std::size_t k) const noexcept;
@@ -121,9 +130,11 @@ class IncrementalDelta {
   // Epoch-stamped dirty scratch (avoids clearing res² flags per event).
   std::vector<std::uint32_t> point_epoch_;
   std::vector<std::uint32_t> row_epoch_;
+  std::vector<int> row_lo_, row_hi_;  ///< Stamped column extent per row.
   std::vector<std::uint32_t> chunk_epoch_;
   std::uint32_t epoch_ = 0;
-  std::vector<std::uint32_t> dirty_points_;
+  std::vector<std::uint32_t> dirty_chunks_;
+  std::vector<std::uint32_t> next_fallback_;
 
   Stats stats_;
 };

@@ -28,6 +28,10 @@
 // the same (score desc, index asc) argmax; tests/test_perf_equivalence
 // checks it against a brute-force greedy reference.
 //
+// The foresight step reads the disk graph's components off a union-find
+// kept as positions are selected, and prices them with
+// graph::plan_group_relays — the plan graph::plan_relays gives.
+//
 // The selection measure is pluggable (local error, curvature, their
 // product, random) to reproduce the Garland comparison the paper cites
 // when motivating local error; see bench_ablation_selection.

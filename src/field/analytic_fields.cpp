@@ -82,7 +82,7 @@ GaussianMixtureField::GaussianMixtureField(double base,
                                            std::vector<GaussianBump> bumps)
     : base_(base), bumps_(std::move(bumps)) {
   for (const auto& b : bumps_) {
-    if (b.sigma <= 0.0) {
+    if (!(b.sigma > 0.0)) {
       throw std::invalid_argument("GaussianMixtureField: sigma <= 0");
     }
   }

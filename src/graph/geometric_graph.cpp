@@ -15,7 +15,7 @@ GeometricGraph::GeometricGraph(std::span<const geo::Vec2> positions,
     : positions_(positions.begin(), positions.end()),
       adjacency_(positions.size()),
       radius_(radius) {
-  if (radius <= 0.0) throw std::invalid_argument("GeometricGraph: radius");
+  if (!(radius > 0.0)) throw std::invalid_argument("GeometricGraph: radius");
   if (positions_.empty()) return;
   const double r2 = radius * radius;
   // Grid-accelerated build: each node scans only the 3x3 cell

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "geometry/vec2.hpp"
+#include "graph/union_find.hpp"
 
 namespace cps::graph {
 
@@ -25,12 +26,27 @@ struct RelayPlan {
 };
 
 /// Computes the relay plan for `nodes` under communication radius r > 0
-/// (std::invalid_argument otherwise).  An empty node set yields an empty
-/// plan.
+/// (std::invalid_argument otherwise, NaN included): groups them with
+/// GeometricGraph::components and calls plan_group_relays.  An empty node
+/// set yields an empty plan.
 RelayPlan plan_relays(std::span<const geo::Vec2> nodes, double r);
 
+/// The relay plan for nodes already grouped into their disk-graph
+/// components (radius r > 0): Prim over the groups' closest pairs, then
+/// relays_for_gap / relay_positions along each bridge.  Bridges, and so
+/// positions, follow the groups' order; zero or one group is connected.
+RelayPlan plan_group_relays(std::span<const std::vector<geo::Vec2>> groups,
+                            double r);
+
+/// The components of `nodes` read off `uf`, a union-find over (at least)
+/// their indices whose unions are exactly the disk-graph edges: ordered by
+/// smallest member index, members ascending — GeometricGraph::components'
+/// order, so plan_group_relays sees what plan_relays would give it.
+std::vector<std::vector<geo::Vec2>> component_groups(
+    UnionFind& uf, std::span<const geo::Vec2> nodes);
+
 /// Number of intermediate relays needed to bridge a gap of length d with
-/// hop length <= r (0 when d <= r).
+/// hop length <= r (0 when d <= r); r must be > 0 (NaN throws).
 std::size_t relays_for_gap(double d, double r);
 
 /// Evenly spaced interior points splitting segment [a, b] into

@@ -29,7 +29,7 @@ FaultSchedule FaultSchedule::random_deaths(std::size_t node_count,
                                            std::size_t first_slot,
                                            std::size_t last_slot,
                                            std::uint64_t seed) {
-  if (death_probability < 0.0 || death_probability > 1.0) {
+  if (!(death_probability >= 0.0 && death_probability <= 1.0)) {
     throw std::invalid_argument("FaultSchedule: death probability");
   }
   if (last_slot < first_slot) {

@@ -25,7 +25,9 @@ double ease(double t) noexcept {
 
 ValueNoise::ValueNoise(std::uint64_t seed, double frequency)
     : seed_(seed), frequency_(frequency) {
-  if (frequency <= 0.0) throw std::invalid_argument("ValueNoise: frequency");
+  if (!(frequency > 0.0)) {
+    throw std::invalid_argument("ValueNoise: frequency");
+  }
 }
 
 double ValueNoise::lattice(std::int64_t ix, std::int64_t iy) const noexcept {

@@ -20,20 +20,20 @@ GreenOrbsField::GreenOrbsField(const GreenOrbsConfig& config)
   if (config.gap_count < 0) {
     throw std::invalid_argument("GreenOrbsField: gap_count < 0");
   }
-  if (config.amplitude_min <= 0.0 ||
-      config.amplitude_max < config.amplitude_min) {
+  if (!(config.amplitude_min > 0.0) ||
+      !(config.amplitude_max >= config.amplitude_min)) {
     throw std::invalid_argument("GreenOrbsField: amplitude range");
   }
-  if (config.sigma_min <= 0.0 || config.sigma_max < config.sigma_min) {
+  if (!(config.sigma_min > 0.0) || !(config.sigma_max >= config.sigma_min)) {
     throw std::invalid_argument("GreenOrbsField: sigma range");
   }
   if (config.sunrise >= config.sunset) {
     throw std::invalid_argument("GreenOrbsField: sunrise >= sunset");
   }
-  if (config.flutter_fraction < 0.0 || config.flutter_fraction > 1.0) {
+  if (!(config.flutter_fraction >= 0.0 && config.flutter_fraction <= 1.0)) {
     throw std::invalid_argument("GreenOrbsField: flutter fraction");
   }
-  if (config.flutter_period <= 0.0) {
+  if (!(config.flutter_period > 0.0)) {
     throw std::invalid_argument("GreenOrbsField: flutter period");
   }
 
@@ -190,7 +190,7 @@ field::GridField GreenOrbsField::snapshot(double t, std::size_t nx,
 field::FrameSequenceField GreenOrbsField::record(double t0, double t1,
                                                  double dt, std::size_t nx,
                                                  std::size_t ny) const {
-  if (dt <= 0.0) throw std::invalid_argument("record: dt <= 0");
+  if (!(dt > 0.0)) throw std::invalid_argument("record: dt <= 0");
   if (t1 < t0) throw std::invalid_argument("record: t1 < t0");
   std::vector<field::GridField> frames;
   std::vector<double> stamps;

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <memory>
 
 #include "field/analytic_fields.hpp"
@@ -94,6 +95,10 @@ TEST(GaussianMixtureField, BaseAndBump) {
 TEST(GaussianMixtureField, InvalidSigmaThrows) {
   EXPECT_THROW(GaussianMixtureField(0.0, {{{0.0, 0.0}, 1.0, 0.0}}),
                std::invalid_argument);
+  EXPECT_THROW(
+      GaussianMixtureField(
+          0.0, {{{0.0, 0.0}, 1.0, std::numeric_limits<double>::quiet_NaN()}}),
+      std::invalid_argument);
 }
 
 TEST(GridField, ConstructionValidation) {

@@ -27,6 +27,10 @@ TEST(GeometricGraph, InvalidRadiusThrows) {
   const std::vector<Vec2> pts{{0.0, 0.0}};
   EXPECT_THROW(GeometricGraph(pts, 0.0), std::invalid_argument);
   EXPECT_THROW(GeometricGraph(pts, -1.0), std::invalid_argument);
+  // With no nodes the radius check is the only thing that can reject NaN.
+  EXPECT_THROW(GeometricGraph(std::vector<Vec2>{},
+                              std::numeric_limits<double>::quiet_NaN()),
+               std::invalid_argument);
 }
 
 TEST(GeometricGraph, NeighborsSortedAndSymmetric) {

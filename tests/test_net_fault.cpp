@@ -86,6 +86,9 @@ TEST(FaultSchedule, RandomDeathsRespectsWindowAndBounds) {
   EXPECT_EQ(FaultSchedule::random_deaths(100, 1.0, 0, 10, 1).size(), 100u);
   EXPECT_THROW(FaultSchedule::random_deaths(10, 1.5, 0, 10, 1),
                std::invalid_argument);
+  EXPECT_THROW(FaultSchedule::random_deaths(
+                   10, std::numeric_limits<double>::quiet_NaN(), 0, 10, 1),
+               std::invalid_argument);
   EXPECT_THROW(FaultSchedule::random_deaths(10, 0.5, 10, 5, 1),
                std::invalid_argument);
 }

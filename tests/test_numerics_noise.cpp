@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 namespace cps::num {
 namespace {
@@ -60,6 +61,8 @@ TEST(ValueNoise, VariesAcrossCells) {
 TEST(ValueNoise, InvalidFrequencyThrows) {
   EXPECT_THROW(ValueNoise(1, 0.0), std::invalid_argument);
   EXPECT_THROW(ValueNoise(1, -0.5), std::invalid_argument);
+  EXPECT_THROW(ValueNoise(1, std::numeric_limits<double>::quiet_NaN()),
+               std::invalid_argument);
 }
 
 TEST(ValueNoise, FbmBoundedAndDeterministic) {

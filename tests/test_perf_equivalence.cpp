@@ -316,6 +316,53 @@ TEST(FraHeapEquivalence, StormCompactionSurvivesRebucketFlood) {
   expect_identical(heap, brute_force_fra(f, cfg, request));
 }
 
+TEST(FraRebucket, SharedFanEdgeCandidatesTakeTheFirstContainingTriangle) {
+  // A cone peaked at the centre of the region: its first pick is (50, 50),
+  // on the seed diagonal, so the cavity is both seed triangles and the
+  // created fan's four edges run along the diagonals, through lattice
+  // points.  Each such candidate lies on an edge shared by two fan
+  // triangles; the planner must bucket it (and interpolate its error) in
+  // the first one in created order, as the reference's contains() scan
+  // does.
+  const field::AnalyticField cone([](double x, double y) {
+    return 100.0 - std::hypot(x - 50.0, y - 50.0);
+  });
+  core::FraConfig cfg = fra_config(core::SelectionMeasure::kLocalError,
+                                   /*foresight=*/false);
+  cfg.error_grid = 21;  // Lattice pitch 5 m: (5i, 5j).
+  const core::PlanRequest request{kRegion, 40, kRc};
+
+  // The case really arises: replay the first insertion and count lattice
+  // points that two created triangles both contain.
+  geo::Delaunay dt(kRegion);
+  for (int c = 0; c < geo::Delaunay::kCorners; ++c) {
+    dt.set_vertex_z(c, cone.value(dt.vertex(c).pos));
+  }
+  const geo::InsertResult first = dt.insert({50.0, 50.0}, cone.value(50, 50));
+  ASSERT_TRUE(first.inserted);
+  std::size_t shared = 0;
+  for (int j = 1; j < 20; ++j) {
+    for (int i = 1; i < 20; ++i) {
+      const geo::Vec2 p{5.0 * i, 5.0 * j};
+      if (p.x == 50.0 && p.y == 50.0) continue;
+      std::size_t hits = 0;
+      for (const int t : first.created_triangles) {
+        if (dt.triangle_geometry(t).contains(p)) ++hits;
+      }
+      if (hits >= 2) ++shared;
+    }
+  }
+  EXPECT_GE(shared, 36u);  // Nine per half-diagonal.
+
+  const core::FraResult plan =
+      core::FraPlanner(cfg).plan_detailed(cone, request);
+  ASSERT_FALSE(plan.steps.empty());
+  EXPECT_EQ(plan.steps[0].position.x, 50.0);
+  EXPECT_EQ(plan.steps[0].position.y, 50.0);
+  EXPECT_EQ(plan.stale_candidates, 0u);
+  expect_identical(plan, brute_force_fra(cone, cfg, request));
+}
+
 // --- FRA: kRandom golden (seed stability across the free-list rewrite) ---
 
 struct GoldenStep {

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <sstream>
 
 #include "trace/greenorbs.hpp"
@@ -112,6 +113,21 @@ TEST(GreenOrbsField, ConfigValidation) {
   bad = small_config();
   bad.flutter_fraction = 1.5;
   EXPECT_THROW(GreenOrbsField{bad}, std::invalid_argument);
+  // NaN fails every ordered comparison, so each check must be written to
+  // reject it rather than to accept only what it names.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  bad = small_config();
+  bad.flutter_fraction = nan;
+  EXPECT_THROW(GreenOrbsField{bad}, std::invalid_argument);
+  bad = small_config();
+  bad.flutter_period = nan;
+  EXPECT_THROW(GreenOrbsField{bad}, std::invalid_argument);
+  bad = small_config();
+  bad.amplitude_max = nan;
+  EXPECT_THROW(GreenOrbsField{bad}, std::invalid_argument);
+  bad = small_config();
+  bad.sigma_min = nan;
+  EXPECT_THROW(GreenOrbsField{bad}, std::invalid_argument);
   bad = small_config();
   bad.region = num::Rect{0.0, 0.0, -1.0, 1.0};
   EXPECT_THROW(GreenOrbsField{bad}, std::invalid_argument);
@@ -135,6 +151,9 @@ TEST(GreenOrbsField, RecordProducesExpectedFrames) {
   EXPECT_DOUBLE_EQ(seq.first_time(), 600.0);
   EXPECT_DOUBLE_EQ(seq.last_time(), 620.0);
   EXPECT_THROW(f.record(600.0, 620.0, 0.0, 11, 11), std::invalid_argument);
+  EXPECT_THROW(f.record(600.0, 620.0, std::numeric_limits<double>::quiet_NaN(),
+                        11, 11),
+               std::invalid_argument);
   EXPECT_THROW(f.record(620.0, 600.0, 5.0, 11, 11), std::invalid_argument);
 }
 
