@@ -55,7 +55,11 @@ double Triangle::longest_edge() const noexcept {
 
 double interpolate_linear(const Triangle& t, double za, double zb, double zc,
                           Vec2 p) noexcept {
-  const Barycentric w = t.barycentric(p);
+  return interpolate_linear(t.barycentric(p), za, zb, zc);
+}
+
+double interpolate_linear(const Barycentric& w, double za, double zb,
+                          double zc) noexcept {
   return w.w0 * za + w.w1 * zb + w.w2 * zc;
 }
 
