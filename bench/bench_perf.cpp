@@ -94,32 +94,16 @@ Record run_fra(const field::Field& frame, std::size_t k) {
   planner.plan(frame, core::PlanRequest{bench::kRegion, k, bench::kRc});
 
   read_counters(rec, {"core.fra.iterations", "core.fra.candidates_scanned",
-                      "core.fra.heap_pushes", "core.fra.heap_pops",
-                      "core.fra.heap_updates", "core.fra.heap_rebuilds",
-                      "core.fra.heap_flat_scans", "core.fra.heap_stale_pops",
-                      "core.fra.heap_parked",
                       "core.fra.candidates_rebucketed",
                       "core.fra.mst_recomputes",
                       "core.fra.foresight_triggers",
                       "graph.relay.mst_recomputes"});
 
-  // Candidates examined per selection: what the heap popped plus what its
-  // storm-mode flat scans swept (candidates_scanned).
-  const double iters =
-      static_cast<double>(std::max<std::uint64_t>(1, cval("core.fra.iterations")));
+  // Candidates examined per selection, filtered rescans included.
   rec.derived.emplace_back(
       "scans_per_iteration",
-      static_cast<double>(cval("core.fra.heap_pops") +
-                          cval("core.fra.candidates_scanned")) /
-          iters);
-  // The indexed decrease-key heap holds one live entry per candidate —
-  // stale pops are structurally impossible, so a nonzero ratio means the
-  // heap regressed to lazy deletion (gated in kGates).
-  rec.derived.emplace_back(
-      "stale_pop_ratio",
-      static_cast<double>(cval("core.fra.heap_stale_pops")) /
-          static_cast<double>(
-              std::max<std::uint64_t>(1, cval("core.fra.heap_pops"))));
+      ratio(static_cast<double>(cval("core.fra.candidates_scanned")),
+            static_cast<double>(cval("core.fra.iterations"))));
   return rec;
 }
 
@@ -667,30 +651,25 @@ void write_json(std::ostream& out, const std::string& mode,
 
 // --- Baseline gate -------------------------------------------------------
 
-/// An absolute bound on a derived value: every record that carries
-/// `metric` must satisfy it, and it still holds after the baseline is
+/// An absolute lower bound on a derived value: every record that carries
+/// `metric` must reach it, and it still holds after the baseline is
 /// regenerated.
 struct Gate {
   const char* metric;
-  bool at_most;  ///< value <= bound; otherwise value >= bound.
-  double bound;
+  double at_least;
   const char* why;
 };
 
 constexpr Gate kGates[] = {
-    // The indexed heap holds one live entry per candidate, so stale pops
-    // mean it regressed to lazy deletion.
-    {"stale_pop_ratio", true, 0.9,
-     "selection heap fell back to stale-pop-dominated behaviour"},
     // The cavity-local δ tracker exists for its O(changed area) bound.
-    {"full_sweep_savings", false, 10.0,
+    {"full_sweep_savings", 10.0,
      "incremental tracker re-evaluated more than 1/10 of the full-sweep "
      "lattice work"},
     // The service's what-if path is cavity-local by construction, so
     // evaluating more lattice points than a serial loop of full re-sweeps
     // means the service layer (base-state cache, incremental what-ifs)
     // regressed.
-    {"lattice_point_ratio", false, 1.0,
+    {"lattice_point_ratio", 1.0,
      "the planner service evaluated more lattice points than the serial "
      "direct-call loop"},
 };
@@ -784,10 +763,10 @@ int check_against_baseline(const std::string& path,
     for (const Gate& gate : kGates) {
       const double* value = r.derived_value(gate.metric);
       if (value == nullptr) continue;
-      if (gate.at_most ? !(*value <= gate.bound) : !(*value >= gate.bound)) {
-        std::fprintf(stderr, "REGRESSION %s: %s = %.17g against %s %g — %s\n",
-                     r.id.c_str(), gate.metric, *value,
-                     gate.at_most ? "at most" : "at least", gate.bound,
+      if (!(*value >= gate.at_least)) {
+        std::fprintf(stderr, "REGRESSION %s: %s = %.17g against at least %g "
+                             "— %s\n",
+                     r.id.c_str(), gate.metric, *value, gate.at_least,
                      gate.why);
         ++regressions;
       }

@@ -31,153 +31,11 @@ struct Candidate {
   bool used = false;        // Already selected (or coincides with a vertex).
 };
 
-/// Score sentinel for used candidates in the heap engine's SoA score
-/// mirror.  Every selection measure is non-negative (|f - DT|, |G|, their
-/// product), so kUsedScore loses every ordered comparison and the storm
-/// fallback's flat argmax skips used candidates without a mask load.
+/// Score of a used candidate in the selection score array.  Every
+/// selection measure is non-negative (|f - DT|, |G|, their product), so
+/// kUsedScore loses every ordered comparison and the argmax skips used
+/// candidates without a mask load.
 constexpr double kUsedScore = -1.0;
-
-/// Indexed max-heap over candidate indices, keyed by an externally owned
-/// live-score array, ordered (score desc, index asc) — the greedy
-/// argmax's first-maximum tie-break.  Unlike a lazy-deletion heap there
-/// is at most ONE entry per candidate (`pos_` tracks its slot), so a
-/// rebucket rescore is a decrease/increase-key sift instead of a
-/// duplicate push, and pops are never stale.  The planner pairs this with
-/// storm compaction: when a rebucket displaces a large fraction of the
-/// lattice (the early iterations, whose cavities cover most candidates),
-/// per-entry sifts would cost more than starting over, so the heap is
-/// invalidated wholesale, selections fall back to a flat argmax over the
-/// score array, and one Floyd build restores the heap once cavities
-/// shrink.
-class IndexedSelectionHeap {
- public:
-  static constexpr std::uint32_t kAbsent = 0xffffffffu;
-
-  void reset(std::size_t n) {
-    pos_.assign(n, kAbsent);
-    heap_.clear();
-    valid_ = false;
-  }
-
-  bool valid() const noexcept { return valid_; }
-  bool empty() const noexcept { return heap_.empty(); }
-
-  /// Drops every entry in O(1); `pos_` is left stale and re-derived by the
-  /// next build().
-  void invalidate() noexcept { valid_ = false; }
-
-  /// Floyd build over every unused candidate at its current score.
-  /// Returns the number of entries (re)inserted.
-  std::size_t build(std::span<const double> scores,
-                    std::span<const std::uint8_t> used) {
-    std::fill(pos_.begin(), pos_.end(), kAbsent);
-    heap_.clear();
-    for (std::uint32_t ci = 0; ci < pos_.size(); ++ci) {
-      if (!used[ci]) heap_.push_back(Entry{scores[ci], ci});
-    }
-    for (std::size_t i = heap_.size() / 2; i-- > 0;) sift_down(i);
-    for (std::size_t i = 0; i < heap_.size(); ++i) {
-      pos_[heap_[i].idx] = static_cast<std::uint32_t>(i);
-    }
-    valid_ = true;
-    return heap_.size();
-  }
-
-  /// Removes and returns the best (score desc, index asc) candidate.
-  std::uint32_t pop(std::span<const double> /*scores*/) {
-    const std::uint32_t best = heap_.front().idx;
-    pos_[best] = kAbsent;
-    const Entry last = heap_.back();
-    heap_.pop_back();
-    if (!heap_.empty()) {
-      heap_.front() = last;
-      pos_[last.idx] = 0;
-      sift_down(0);
-    }
-    return best;
-  }
-
-  /// Inserts a candidate that is not currently in the heap (parked-entry
-  /// restore after a selection).
-  void insert(std::uint32_t ci, std::span<const double> scores) {
-    heap_.push_back(Entry{scores[ci], ci});
-    pos_[ci] = static_cast<std::uint32_t>(heap_.size() - 1);
-    sift_up(heap_.size() - 1);
-  }
-
-  /// Re-establishes heap order around ci after scores[ci] changed; no-op
-  /// when ci is absent (already used, or popped this iteration).
-  void update(std::uint32_t ci, std::span<const double> scores) {
-    const std::uint32_t at = pos_[ci];
-    if (at == kAbsent) return;
-    heap_[at].score = scores[ci];
-    // One parent probe decides the direction; the common no-move case
-    // (most rebucket rescores keep their rank) pays a single compare in
-    // sift_down's first round instead of a full up-then-down pass.
-    if (at > 0 && better(heap_[at], heap_[(at - 1) / 2])) {
-      sift_up(at);
-    } else {
-      sift_down(at);
-    }
-  }
-
- private:
-  // The key is embedded next to the index so a sift compare touches only
-  // the heap array (parent/child entries, usually the same cache lines)
-  // instead of gathering from the 10k-entry score mirror — the rebucket
-  // sift storm at k ~ 100 is bound by exactly those gathers.  The mirror
-  // stays authoritative for the storm-mode flat scans; entries are
-  // refreshed from it on build/insert/update.
-  struct Entry {
-    double score;
-    std::uint32_t idx;
-  };
-
-  /// Strict-weak "a selects before b": higher score first, lower index on
-  /// ties — exactly a serial scan's first-maximum rule.
-  static bool better(const Entry& a, const Entry& b) noexcept {
-    if (a.score != b.score) return a.score > b.score;
-    return a.idx < b.idx;
-  }
-
-  bool sift_up(std::size_t i) noexcept {
-    const Entry v = heap_[i];
-    bool moved = false;
-    while (i > 0) {
-      const std::size_t parent = (i - 1) / 2;
-      if (!better(v, heap_[parent])) break;
-      heap_[i] = heap_[parent];
-      pos_[heap_[i].idx] = static_cast<std::uint32_t>(i);
-      i = parent;
-      moved = true;
-    }
-    heap_[i] = v;
-    pos_[v.idx] = static_cast<std::uint32_t>(i);
-    return moved;
-  }
-
-  void sift_down(std::size_t i) noexcept {
-    const Entry v = heap_[i];
-    const std::size_t m = heap_.size();
-    for (;;) {
-      std::size_t child = 2 * i + 1;
-      if (child >= m) break;
-      if (child + 1 < m && better(heap_[child + 1], heap_[child])) {
-        ++child;
-      }
-      if (!better(heap_[child], v)) break;
-      heap_[i] = heap_[child];
-      pos_[heap_[i].idx] = static_cast<std::uint32_t>(i);
-      i = child;
-    }
-    heap_[i] = v;
-    pos_[v.idx] = static_cast<std::uint32_t>(i);
-  }
-
-  std::vector<Entry> heap_;         // (score, candidate) in heap order.
-  std::vector<std::uint32_t> pos_;  // Candidate -> heap slot, or kAbsent.
-  bool valid_ = false;
-};
 
 double interpolate_in(const geo::Delaunay& dt, int tri, geo::Vec2 p) {
   const auto& t = dt.triangle(tri);
@@ -378,58 +236,16 @@ FraResult FraPlanner::plan_detailed(const field::Field& reference,
     return 0.0;
   };
 
-  // Heap state (see fra.hpp): at most one entry per unused
-  // candidate, kept ordered by decrease/increase-key sifts on rescoring
-  // rebuckets, with storm compaction when a cavity displaces too much of
-  // the lattice for per-entry sifts to pay.  `heap_scores` / `heap_used`
-  // are SoA mirrors of the candidate array: the sift comparator and the
-  // storm-fallback flat argmax stream them instead of the 64-byte
-  // Candidate records.  Curvature scores never change after the initial
-  // pass, so kCurvature neither rescores nor storms — its heap is built
-  // once and stays valid.
-  const bool use_heap = config_.measure != SelectionMeasure::kRandom;
-  const bool heap_rescores =
-      use_heap && config_.measure != SelectionMeasure::kCurvature;
-  IndexedSelectionHeap heap;
-  std::vector<double> heap_scores;
-  std::vector<std::uint8_t> heap_used;
-  std::vector<std::uint32_t> parked;  // Unaffordable pops, restored.
-  std::size_t heap_pushes = 0, heap_pops = 0, heap_updates = 0;
-  std::size_t live_candidates = 0;
-  std::size_t last_displaced = 0;
-  if (use_heap) {
-    heap.reset(candidates.size());
-    heap_scores.resize(candidates.size());
-    heap_used.resize(candidates.size());
-    for (std::size_t ci = 0; ci < candidates.size(); ++ci) {
-      // Used candidates carry kUsedScore instead of a real score: every
-      // measure is non-negative (|f - DT|, |G|, their product), so the
-      // sentinel loses any ordered comparison and the storm-fallback flat
-      // argmax needs no per-candidate used check at all.
-      heap_scores[ci] =
-          candidates[ci].used ? kUsedScore : score_of(candidates[ci]);
-      heap_used[ci] = candidates[ci].used ? 1 : 0;
-      if (!candidates[ci].used) ++live_candidates;
-    }
-    // Rescoring measures start storm-invalidated: the first insertions'
-    // cavities cover most of the lattice, so building the heap up front
-    // would only tear it down again.  kCurvature builds at the first
-    // selection and keeps the heap for the whole plan.
-    last_displaced = heap_rescores ? live_candidates : 0;
+  // Selection scores, one per candidate (kUsedScore once used): the
+  // argmax streams this array instead of the 64-byte Candidate records.
+  // Curvature scores never change after the initial pass and kRandom
+  // ignores scores, so only the error-based measures rescore on rebuckets.
+  const bool rescores = config_.measure == SelectionMeasure::kLocalError ||
+                        config_.measure == SelectionMeasure::kProduct;
+  std::vector<double> scores(candidates.size());
+  for (std::size_t ci = 0; ci < candidates.size(); ++ci) {
+    scores[ci] = candidates[ci].used ? kUsedScore : score_of(candidates[ci]);
   }
-  // Storm hysteresis.  A rebucket that rescores >= live/3 candidates
-  // drops the heap (per-entry sifts cost more than a flat argmax at that
-  // scale); it is rebuilt only once a cavity displaces < live/12, so
-  // cavity-size noise inside the band cannot thrash build/invalidate
-  // cycles.  Both thresholds are pure performance knobs — every selection
-  // path computes the identical (score desc, index asc) argmax, so they
-  // never change which candidate wins.
-  const auto is_storm = [&](std::size_t displaced) noexcept {
-    return displaced * 3 >= live_candidates;
-  };
-  const auto is_calm = [&](std::size_t displaced) noexcept {
-    return displaced * 12 < live_candidates;
-  };
 
   // kRandom free-list: the unused candidate indices, kept ascending and
   // shrunk on used transitions instead of being rebuilt O(lattice) every
@@ -486,27 +302,20 @@ FraResult FraPlanner::plan_detailed(const field::Field& reference,
     net_grid.note_added(p, candidate_positions, dist_to_net);
   };
 
+  // Stores one candidate's score after its error changed; used candidates
+  // keep kUsedScore.
+  const auto rescore = [&](std::size_t ci) {
+    if (rescores && !candidates[ci].used) {
+      scores[ci] = score_of(candidates[ci]);
+    }
+  };
+
   // Garland-Heckbert update: only candidates whose triangle died need
   // re-location (among the fan of new triangles) and error refresh.
   // Every insertion — refinement pick or foresight relay — must pass
   // through here: a skipped rebucket leaves candidates keyed to dead
   // (later recycled) triangle slots with stale errors, silently
   // corrupting subsequent selections.
-  // Rescores one candidate after its error changed: mirror write plus a
-  // decrease/increase-key sift while the heap is live (score writes alone
-  // suffice during a storm — the flat argmax reads the mirror).
-  const auto rescore = [&](std::size_t ci) {
-    auto& c = candidates[ci];
-    if (!heap_rescores || c.used) return;
-    const double s = score_of(c);
-    if (heap_scores[ci] == s) return;
-    heap_scores[ci] = s;
-    if (heap.valid()) {
-      heap.update(static_cast<std::uint32_t>(ci), heap_scores);
-      ++heap_updates;
-    }
-  };
-
   // The created fan of the current insertion (geometry and vertex z),
   // gathered once per event and scanned by every displaced candidate.
   struct FanTriangle {
@@ -547,12 +356,6 @@ FraResult FraPlanner::plan_detailed(const field::Field& reference,
       displaced.insert(displaced.end(), bucket.begin(), bucket.end());
       bucket.clear();
     }
-    // Storm compaction decision, taken once per insertion from the known
-    // displacement count: a flooded heap is dropped up front so the loop
-    // below degrades to plain score writes.
-    if (heap_rescores && heap.valid() && is_storm(displaced.size())) {
-      heap.invalidate();
-    }
     fan.clear();
     for (const int fresh : ins.created_triangles) {
       const auto& t = dt.triangle(fresh);
@@ -583,11 +386,8 @@ FraResult FraPlanner::plan_detailed(const field::Field& reference,
             std::abs(c.f_value - interpolate_in(dt, c.triangle, c.pos));
       }
       buckets[static_cast<std::size_t>(c.triangle)].push_back(ci);
-      // Used candidates keep their kUsedScore sentinel — their error is
-      // dead state as far as selection goes.
       rescore(ci);
     }
-    if (heap_rescores) last_displaced = displaced.size();
     CPS_COUNT("core.fra.candidates_rebucketed", displaced.size());
   };
 
@@ -619,9 +419,9 @@ FraResult FraPlanner::plan_detailed(const field::Field& reference,
   while (selected.size() < request.k) {
     CPS_COUNT("core.fra.iterations", 1);
     // Iteration boundary for the telemetry timeline: each sample's deltas
-    // (heap pops, rebuckets, scans) cover the *previous* iteration; the
-    // first covers lattice seeding, the closing sample after the loop the
-    // final iteration plus the bucket audit.
+    // (rebuckets, scans) cover the *previous* iteration; the first covers
+    // lattice seeding, the closing sample after the loop the final
+    // iteration plus the bucket audit.
     CPS_TIMELINE_SAMPLE("core.fra.iteration", timeline_iteration++);
     // Foresight (Table 1 lines 5-8): when the remaining budget is no more
     // than the relay count needed for connectivity, spend it on relays.
@@ -678,68 +478,34 @@ FraResult FraPlanner::plan_detailed(const field::Field& reference,
             0, static_cast<std::int64_t>(pool->size()) - 1))];
       }
     } else {
-      // Rebuild once the storm has subsided: one Floyd build over the
-      // current scores restores the single-entry invariant for every
-      // unused candidate.  While displacement stays stormy the flat
-      // argmax below serves selections straight from the SoA mirrors.
-      if (!heap.valid() && is_calm(last_displaced)) {
-        heap_pushes += heap.build(heap_scores, heap_used);
-        CPS_COUNT("core.fra.heap_rebuilds", 1);
-      }
-      if (heap.valid()) {
-        // Pop until the first affordable candidate: heap order
-        // (score desc, index asc) makes it the greedy argmax, and every
-        // pop is live by construction.  Unaffordable pops are parked —
-        // affordability varies per iteration, so dropping them would
-        // lose candidates for good — and restored once the selection is
-        // decided.
-        std::size_t pops = 0;
-        parked.clear();
-        while (!heap.empty()) {
-          const std::uint32_t ci = heap.pop(heap_scores);
-          ++pops;
-          if (!affordable(ci)) {
-            parked.push_back(ci);
-            continue;
-          }
+      // Flat argmax over the score array.  Used candidates sit at
+      // kUsedScore, so the first pass is a pure unconstrained max — no
+      // per-candidate used or affordability test.  If the winner is
+      // affordable it *is* the greedy argmax: the strict > / first-index
+      // rule picks the first candidate carrying the maximum affordable
+      // score, and an affordable global maximum is exactly that.  Only
+      // when the winner is unaffordable (a far-from-net pick under a
+      // tight relay budget — rare) does the filtered rescan run.
+      std::size_t scanned = candidates.size();
+      double best_score = kUsedScore;
+      for (std::size_t ci = 0; ci < candidates.size(); ++ci) {
+        if (scores[ci] > best_score) {
+          best_score = scores[ci];
           best = ci;
-          break;
         }
-        for (const std::uint32_t ci : parked) heap.insert(ci, heap_scores);
-        heap_pops += pops;
-        heap_pushes += parked.size();
-        CPS_COUNT("core.fra.heap_pops", pops);
-        CPS_COUNT("core.fra.heap_parked", parked.size());
-      } else {
-        // Storm fallback: flat argmax over the score mirror.  Used
-        // candidates sit at kUsedScore, so the first pass is a pure
-        // unconstrained max — no per-candidate used or affordability
-        // test.  If the winner is affordable it *is* the greedy argmax:
-        // the strict > / first-index rule picks the first candidate
-        // carrying the maximum affordable score, and an affordable
-        // global maximum is exactly that.  Only when the
-        // winner is unaffordable (a far-from-net pick under a tight
-        // relay budget — rare) does the filtered rescan run.
-        CPS_COUNT("core.fra.heap_flat_scans", 1);
-        CPS_COUNT("core.fra.candidates_scanned", candidates.size());
-        double best_score = kUsedScore;
+      }
+      if (best != candidates.size() && !affordable(best)) {
+        scanned += candidates.size();
+        best = candidates.size();
+        best_score = kUsedScore;
         for (std::size_t ci = 0; ci < candidates.size(); ++ci) {
-          if (heap_scores[ci] > best_score) {
-            best_score = heap_scores[ci];
+          if (scores[ci] > best_score && affordable(ci)) {
+            best_score = scores[ci];
             best = ci;
           }
         }
-        if (best != candidates.size() && !affordable(best)) {
-          best = candidates.size();
-          best_score = kUsedScore;
-          for (std::size_t ci = 0; ci < candidates.size(); ++ci) {
-            if (heap_scores[ci] > best_score && affordable(ci)) {
-              best_score = heap_scores[ci];
-              best = ci;
-            }
-          }
-        }
       }
+      CPS_COUNT("core.fra.candidates_scanned", scanned);
     }
     if (best == candidates.size()) {
       // No affordable candidate: connect what exists to free the budget,
@@ -755,25 +521,13 @@ FraResult FraPlanner::plan_detailed(const field::Field& reference,
 
     Candidate& chosen = candidates[best];
     chosen.used = true;
-    if (use_heap) {
-      // The chosen candidate left the heap through its pop (or was never
-      // in it during a storm); only the SoA mirrors need the transition.
-      heap_used[best] = 1;
-      heap_scores[best] = kUsedScore;
-      --live_candidates;
-    }
+    scores[best] = kUsedScore;
     if (config_.measure == SelectionMeasure::kRandom) {
       random_free.erase(std::lower_bound(random_free.begin(),
                                          random_free.end(), best));
     }
     note_added(chosen.pos);
-    const double score =
-        config_.measure == SelectionMeasure::kLocalError ? chosen.error
-        : config_.measure == SelectionMeasure::kCurvature
-            ? chosen.curvature
-        : config_.measure == SelectionMeasure::kProduct
-            ? chosen.error * chosen.curvature
-            : 0.0;
+    const double score = score_of(chosen);
     selected.push_back(chosen.pos);
     register_selected();
     result.steps.push_back(FraStep{chosen.pos, score, false});
@@ -809,16 +563,6 @@ FraResult FraPlanner::plan_detailed(const field::Field& reference,
     CPS_GAUGE("core.fra.stale_candidates", stale);
   }
 
-  if (use_heap) {
-    CPS_COUNT("core.fra.heap_pushes", heap_pushes);
-    CPS_COUNT("core.fra.heap_updates", heap_updates);
-    // Stale pops are structurally impossible with the indexed heap (one
-    // entry per candidate, removed exactly at pop); the counter and ratio
-    // stay in the schema so the bench's heap_degraded gate keeps watching
-    // for a lazy-deletion-style regression.
-    CPS_COUNT("core.fra.heap_stale_pops", 0);
-    CPS_GAUGE("core.fra.heap_stale_pop_ratio", 0.0);
-  }
   if (delta_tracker != nullptr) {
     // An empty trajectory (nothing selectable) still has the corners-only
     // sweep to report — the same value delta_of_deployment gives an empty

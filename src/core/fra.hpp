@@ -15,18 +15,13 @@
 //      positions inside the retriangulated cavity can have changed, so the
 //      update is O(cavity), the Garland-Heckbert structure.
 //
-// The per-iteration argmax runs on an indexed max-heap with at most one
-// entry per unused candidate: a position array maps candidates to heap
-// slots, so the Garland–Heckbert rebucket re-ranks a displaced candidate
-// with a decrease/increase-key sift, and every pop is live by
-// construction.  When an insertion's cavity displaces a large fraction of
-// the lattice (the early-iteration storms), the heap is invalidated
-// wholesale, selections are served by a flat argmax over the score
-// array, and one Floyd build restores the heap once cavities shrink.
-// Valid-but-unaffordable pops are parked and restored after the
-// selection (affordability is iteration-dependent).  Every path computes
-// the same (score desc, index asc) argmax; tests/test_perf_equivalence
-// checks it against a brute-force greedy reference.
+// The per-iteration argmax is a flat scan of one score array, in which
+// used candidates hold a negative sentinel: the first maximum wins, so
+// ties go to the lowest lattice index.  Only when that winner is
+// unaffordable under the foresight budget does a second scan filter by
+// affordability.  The Garland–Heckbert rebucket just stores each
+// displaced candidate's new score.  tests/test_perf_equivalence checks
+// the selection against a brute-force greedy reference.
 //
 // The foresight step reads the disk graph's components off a union-find
 // kept as positions are selected, and prices them with

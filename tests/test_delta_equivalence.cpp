@@ -25,6 +25,7 @@
 #include "field/analytic_fields.hpp"
 #include "field/grid_field.hpp"
 #include "field/time_varying.hpp"
+#include "numerics/rng.hpp"
 #include "parallel/thread_pool.hpp"
 #include "oracles.hpp"
 #include "trace/greenorbs.hpp"
@@ -153,6 +154,46 @@ TEST(DeltaRasterEquivalence, DegenerateSampleSets) {
     SCOPED_TRACE("case " + std::to_string(c));
     expect_raster_matches_walk(f, cases[c], core::CornerPolicy::kFieldValue);
   }
+}
+
+TEST(DeltaRasterEquivalence, LatticeAlignedEdgesOnAPlane) {
+  // Resolution 50 on the 100 m square puts the lattice at odd integer
+  // coordinates.  Vertices at integer coordinates, or on an odd-integer
+  // lattice row or column, span edges that carry lattice points exactly;
+  // such a point is not strictly inside either triangle sharing the edge,
+  // so the raster's fallback walk (seeded by the previous point's
+  // triangle) decides which one interpolates it, and the two differ in
+  // the low bits.  On a plane whose values the vertices and corners carry,
+  // δ is a sum of rounding residues, so those bits reach the result.
+  const field::PlaneField plane(10.0, 0.3, -0.7);
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    par::set_thread_count(threads);
+    for (const std::uint64_t seed : {31u, 32u, 33u}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   " seed=" + std::to_string(seed));
+      num::Rng rng(seed);
+      const auto integer = [&] {
+        return static_cast<double>(rng.uniform_int(0, 100));
+      };
+      const auto lattice_line = [&] {
+        return static_cast<double>(2 * rng.uniform_int(0, 49) + 1);
+      };
+      std::vector<geo::Vec2> positions;
+      for (int i = 0; i < 60; ++i) {
+        const double u = rng.uniform();
+        if (u < 0.5) {
+          positions.push_back({integer(), integer()});
+        } else if (u < 0.75) {
+          positions.push_back({rng.uniform(0.0, 100.0), lattice_line()});
+        } else {
+          positions.push_back({lattice_line(), rng.uniform(0.0, 100.0)});
+        }
+      }
+      expect_raster_matches_walk(plane, positions,
+                                 core::CornerPolicy::kFieldValue, 50);
+    }
+  }
+  par::set_thread_count(1);
 }
 
 TEST(DeltaRasterEquivalence, ResolutionOneLattice) {

@@ -7,7 +7,6 @@
 
 #include "field/analytic_fields.hpp"
 #include "field/field.hpp"
-#include "field/field_ops.hpp"
 #include "field/grid_field.hpp"
 #include "field/time_varying.hpp"
 
@@ -188,33 +187,6 @@ TEST(GridField, MinMaxAndSetters) {
   EXPECT_DOUBLE_EQ(g.max_value(), 5.0);
   EXPECT_THROW(g.at(3, 0), std::out_of_range);
   EXPECT_THROW(g.set(0, 3, 0.0), std::out_of_range);
-}
-
-TEST(FieldOps, SumScaledTranslatedClamped) {
-  const auto a = std::make_shared<ConstantField>(2.0);
-  const auto b = std::make_shared<PlaneField>(0.0, 1.0, 0.0);
-  const SumField sum(a, b);
-  EXPECT_DOUBLE_EQ(sum.value(3.0, 0.0), 5.0);
-
-  const ScaledField scaled(b, 2.0, 1.0);
-  EXPECT_DOUBLE_EQ(scaled.value(3.0, 0.0), 7.0);
-
-  const TranslatedField shifted(b, {10.0, 0.0});
-  EXPECT_DOUBLE_EQ(shifted.value(3.0, 0.0), -7.0);  // Evaluates at x - 10.
-
-  const ClampedField clamped(b, 0.0, 2.5);
-  EXPECT_DOUBLE_EQ(clamped.value(10.0, 0.0), 2.5);
-  EXPECT_DOUBLE_EQ(clamped.value(-5.0, 0.0), 0.0);
-  EXPECT_DOUBLE_EQ(clamped.value(1.0, 0.0), 1.0);
-}
-
-TEST(FieldOps, NullOperandsThrow) {
-  const auto ok = std::make_shared<ConstantField>(0.0);
-  EXPECT_THROW(SumField(nullptr, ok), std::invalid_argument);
-  EXPECT_THROW(ScaledField(nullptr, 1.0), std::invalid_argument);
-  EXPECT_THROW(TranslatedField(nullptr, {}), std::invalid_argument);
-  EXPECT_THROW(ClampedField(nullptr, 0.0, 1.0), std::invalid_argument);
-  EXPECT_THROW(ClampedField(ok, 2.0, 1.0), std::invalid_argument);
 }
 
 TEST(FieldSlice, FreezesTime) {

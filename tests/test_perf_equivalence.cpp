@@ -1,11 +1,11 @@
 // Bit-identity tests for the fast paths against brute-force references:
 //
-//  * FRA's indexed decrease-key heap (with its storm-mode flat argmax)
-//    vs a greedy FRA that rescores every candidate each iteration and
-//    takes the first maximum in lattice order, across every
-//    deterministic SelectionMeasure, both foresight modes, and k from 10
-//    to 2000 — including the parked-entry affordability protocol and the
-//    storm-compaction (flat-scan / Floyd-rebuild) transitions;
+//  * FRA's flat argmax over its rebucket-maintained score array vs a
+//    greedy FRA that rescores every candidate each iteration and takes
+//    the first maximum in lattice order, across every deterministic
+//    SelectionMeasure, both foresight modes, and k from 10 to 2000 —
+//    including unaffordable maxima (the filtered rescan) and the large
+//    early cavities that rescore most of the lattice per insertion;
 //  * MessageBus delivery over core::ShardGrid's tile matching vs an
 //    all-pairs probe that calls transmit() on every ordered pair, for
 //    every link model, under position and liveness churn, at 1 and 4
@@ -44,7 +44,7 @@ namespace {
 const num::Rect kRegion{0.0, 0.0, 100.0, 100.0};
 constexpr double kRc = 10.0;
 
-// --- FRA: indexed heap vs brute-force greedy -----------------------------
+// --- FRA: flat argmax vs brute-force greedy ------------------------------
 
 /// A fig5/fig6-like reference surface: smooth trend plus sharp plateaus,
 /// so local error, curvature, and their product all rank candidates
@@ -63,7 +63,7 @@ field::AnalyticField reference_surface() {
 /// Garland–Heckbert rule — a candidate displaced by an insertion moves to
 /// the first new triangle that contains it — because that choice fixes
 /// the interpolated bits of points on shared edges; nothing of the
-/// planner's selection heap is reused.
+/// planner's score array is reused.
 core::FraResult brute_force_fra(const field::Field& f,
                                 const core::FraConfig& cfg,
                                 const core::PlanRequest& req) {
@@ -212,7 +212,7 @@ void expect_identical(const core::FraResult& a, const core::FraResult& b) {
   ASSERT_EQ(a.steps.size(), b.steps.size());
   EXPECT_EQ(a.relay_count, b.relay_count);
   for (std::size_t i = 0; i < a.steps.size(); ++i) {
-    // Exact equality: the heap must make the same choice as the greedy
+    // Exact equality: the planner must make the same choice as the greedy
     // reference, not merely an equally good one.
     EXPECT_EQ(a.steps[i].position.x, b.steps[i].position.x) << "step " << i;
     EXPECT_EQ(a.steps[i].position.y, b.steps[i].position.y) << "step " << i;
@@ -234,7 +234,7 @@ void expect_matches_reference(const core::FraConfig& cfg,
                    brute_force_fra(f, cfg, request));
 }
 
-TEST(FraHeapEquivalence, MatchesBruteForceAcrossMeasuresAndForesight) {
+TEST(FraSelectionEquivalence, MatchesBruteForceAcrossMeasuresAndForesight) {
   using core::SelectionMeasure;
   for (const SelectionMeasure measure :
        {SelectionMeasure::kLocalError, SelectionMeasure::kCurvature,
@@ -251,9 +251,10 @@ TEST(FraHeapEquivalence, MatchesBruteForceAcrossMeasuresAndForesight) {
   }
 }
 
-TEST(FraHeapEquivalence, MatchesBruteForceAcrossKRange) {
+TEST(FraSelectionEquivalence, MatchesBruteForceAcrossKRange) {
   // Small plans, the paper's canonical k = 100, and the large-k regime
-  // the heap was built for.  Identity is the acceptance bar.
+  // where the rebucket touches little per insertion.  Identity is the
+  // acceptance bar.
   for (const std::size_t k :
        {std::size_t{10}, std::size_t{100}, std::size_t{500},
         std::size_t{2000}}) {
@@ -264,11 +265,12 @@ TEST(FraHeapEquivalence, MatchesBruteForceAcrossKRange) {
   }
 }
 
-TEST(FraHeapEquivalence, ParkedEntriesAreRestoredAcrossIterations) {
-  // A tight relay budget (rc = 6, k = 30, foresight on) makes the heap's
-  // top pops unaffordable in some iterations: those entries are parked
-  // and must be re-inserted after the selection, or they would vanish
-  // from later iterations where the budget would have admitted them.
+TEST(FraSelectionEquivalence, UnaffordableMaximaFallBackToAffordableArgmax) {
+  // A tight relay budget (rc = 6, k = 30, foresight on) makes the global
+  // maximum unaffordable in some iterations: the planner must then take
+  // the first maximum among the affordable candidates, and the same
+  // candidate must stay selectable in later iterations where the budget
+  // admits it.
   const core::FraConfig cfg =
       fra_config(core::SelectionMeasure::kLocalError, true);
   const core::PlanRequest request{kRegion, 30, 6.0};
@@ -276,44 +278,29 @@ TEST(FraHeapEquivalence, ParkedEntriesAreRestoredAcrossIterations) {
   obs::set_enabled(true);
   obs::registry().reset();
   const auto f = reference_surface();
-  const auto heap = core::FraPlanner(cfg).plan_detailed(f, request);
+  const auto planned = core::FraPlanner(cfg).plan_detailed(f, request);
 
-  // The config must actually exercise the parking protocol (visible only
-  // where the obs counters are compiled in), and the restore must keep
-  // the heap bit-identical to the affordability-aware greedy reference.
+  // The config must actually exercise the filtered rescan (visible only
+  // where the obs counters are compiled in): each iteration's first pass
+  // scans the lattice once, so any excess is a rescan.
 #if defined(CPS_OBS_ENABLED)
-  EXPECT_GT(obs::registry().counter("core.fra.heap_parked").value(), 0u);
+  const std::uint64_t lattice = 100 * 100;
+  EXPECT_GT(obs::registry().counter("core.fra.candidates_scanned").value(),
+            lattice * obs::registry().counter("core.fra.iterations").value());
 #endif
-  expect_identical(heap, brute_force_fra(f, cfg, request));
+  expect_identical(planned, brute_force_fra(f, cfg, request));
 }
 
-TEST(FraHeapEquivalence, StormCompactionSurvivesRebucketFlood) {
+TEST(FraSelectionEquivalence, LargeEarlyCavitiesKeepTheGreedyChoice) {
   // Early k = 100 iterations on a coarse triangulation rebucket most of
-  // the lattice per insert: displacement crosses the storm threshold, the
-  // heap drops to flat argmax scans, and once inserts displace little it
-  // compacts back via a Floyd rebuild.  Both transitions must happen and
-  // neither may perturb a single selection.
+  // the lattice per insert; later ones displace little.  Neither regime
+  // may perturb a single selection.
   const core::FraConfig cfg =
       fra_config(core::SelectionMeasure::kLocalError, true);
   const core::PlanRequest request{kRegion, 100, kRc};
-
-  obs::set_enabled(true);
-  obs::registry().reset();
   const auto f = reference_surface();
-  const auto heap = core::FraPlanner(cfg).plan_detailed(f, request);
-
-#if defined(CPS_OBS_ENABLED)
-  const auto flat_scans =
-      obs::registry().counter("core.fra.heap_flat_scans").value();
-  const auto rebuilds =
-      obs::registry().counter("core.fra.heap_rebuilds").value();
-  const auto stale =
-      obs::registry().counter("core.fra.heap_stale_pops").value();
-  EXPECT_GT(flat_scans, 0u);   // Storm mode engaged...
-  EXPECT_GT(rebuilds, 0u);     // ...and compacted back out of it.
-  EXPECT_EQ(stale, 0u);        // Indexed heap: stale pops are impossible.
-#endif
-  expect_identical(heap, brute_force_fra(f, cfg, request));
+  expect_identical(core::FraPlanner(cfg).plan_detailed(f, request),
+                   brute_force_fra(f, cfg, request));
 }
 
 TEST(FraRebucket, SharedFanEdgeCandidatesTakeTheFirstContainingTriangle) {
@@ -391,7 +378,7 @@ void expect_matches_golden(const core::FraResult& result,
   }
 }
 
-// Captured from the pre-heap implementation (rebuild-the-unused-pool every
+// Captured from the original implementation (rebuild-the-unused-pool every
 // iteration) at error_grid = 40, seed = 2026, k = 25: the incremental
 // free-list must reproduce this draw schedule exactly.
 TEST(FraRandomGolden, ForesightOnSequenceIsStable) {
