@@ -230,7 +230,7 @@ double DeltaMetric::delta_raster(const field::Field& reference,
   // the hint chain replays bit-for-bit), keeping assignments identical to
   // locating every point with that walk.
   const std::span<const double> xs = lat.xs();
-  const auto res = static_cast<long>(resolution_);
+  const auto grid = detail::SpanLattice::midpoint(region_, lat);
   const std::vector<int> alive = dt.alive_triangles();
   TriangleSoA soa;
   soa.build(dt, alive);
@@ -241,7 +241,7 @@ double DeltaMetric::delta_raster(const field::Field& reference,
     detail::for_each_covered_range(
         soa.a(static_cast<std::uint32_t>(slot)),
         soa.b(static_cast<std::uint32_t>(slot)),
-        soa.c(static_cast<std::uint32_t>(slot)), region_, lat, res,
+        soa.c(static_cast<std::uint32_t>(slot)), grid,
         [&](long j, long ilo, long ihi) {
           row_spans[static_cast<std::size_t>(j)].push_back(
               RowSpan{tid, static_cast<std::uint32_t>(slot),

@@ -1,5 +1,6 @@
 // Shared scan-conversion machinery of the raster δ sweep (core/delta.cpp)
-// and its cavity-local tracker (core/delta_incremental.cpp).
+// and its cavity-local tracker (core/delta_incremental.cpp); FRA's
+// rebucket (core/fra.cpp) shares the span emitter.
 //
 // Both must assign lattice points to triangles — and interpolate them —
 // through the *same* arithmetic, or their sums drift by a bit and the
@@ -149,33 +150,87 @@ inline double interpolate_point(const geo::Delaunay& dt, int tid,
                            p.x, p.y);
 }
 
+/// A regular lattice as the span emitter sees it: point (i, j) sits at
+/// (x0 + (i + offset)·hx, y0 + (j + offset)·hy) for 0 ≤ i < nx and
+/// 0 ≤ j < ny.  The δ metric's midpoint lattice is offset 0.5 with pitch
+/// w/res; FRA's candidate lattice is offset 0 with pitch w/(n−1), so its
+/// first and last rows and columns lie on the region border.
+struct SpanLattice {
+  double x0 = 0.0;
+  double y0 = 0.0;
+  double hx = 0.0;
+  double hy = 0.0;
+  double offset = 0.0;
+  long nx = 0;
+  long ny = 0;
+  /// Half-height of the band each row's span covers: a row at y emits the
+  /// triangle's x-extent over [y − band, y + band], not only its slice at
+  /// y.  A consumer that accepts points within a tolerance of a triangle
+  /// (FRA's barycentric test) needs a band: a point just past a
+  /// near-horizontal edge — say on a border row that lands a few ulps past
+  /// the region edge, 11 · (100/11) = 100.00000000000001 — can lie on a
+  /// row that meets the triangle at one vertex only, or not at all.
+  /// Strict-containment consumers (the δ sweeps) use 0, the slice at y
+  /// alone: no point outside the closed triangle is strictly inside.
+  double band = 0.0;
+
+  double y(long j) const noexcept {
+    return y0 + (static_cast<double>(j) + offset) * hy;
+  }
+
+  /// The δ metric's midpoint lattice over `region` (ordinates are exactly
+  /// MidpointLattice::y's).
+  static SpanLattice midpoint(const num::Rect& region,
+                              const num::MidpointLattice& lat) {
+    return {region.x0, region.y0, lat.hx(), lat.hy(), 0.5,
+            static_cast<long>(lat.nx()), static_cast<long>(lat.ny()), 0.0};
+  }
+
+  /// FRA's n × n corner lattice over `region` (ordinates are exactly the
+  /// planner's region.y0 + j · dy), with a half-pitch band.  A point that
+  /// passes the barycentric test at Triangle::kContainsTol lies in the
+  /// triangle scaled by 1 + 3 · kContainsTol about its centroid — a few
+  /// 1e-9 diameters from it, far inside half a pitch.
+  static SpanLattice corners(const num::Rect& region, std::size_t n) {
+    const double hy = region.height() / static_cast<double>(n - 1);
+    return {region.x0,
+            region.y0,
+            region.width() / static_cast<double>(n - 1),
+            hy,
+            0.0,
+            static_cast<long>(n),
+            static_cast<long>(n),
+            0.5 * hy};
+  }
+};
+
 /// Scan-converts one triangle into per-row inclusive column ranges over
-/// the midpoint lattice and calls sink(j, ilo, ihi) for every non-empty
-/// row.  Midpoint rows are y0 + (j + 0.5) hy; the ±1 row/column guard
-/// absorbs any rounding in the inverse map, so emitted ranges are a
-/// conservative superset of the triangle's closed coverage.  This is the
-/// raster engine's span-emission loop verbatim; the incremental engine
-/// reuses it to mark dirty cells, which is what makes "dirty region ⊇
-/// raster coverage of the changed triangles" hold by construction.
+/// `lat` and calls sink(j, ilo, ihi) for every non-empty row.  The ±1
+/// row/column guard absorbs any rounding in the inverse map, so emitted
+/// ranges are a conservative superset of the triangle's closed coverage.
+/// One body serves the raster δ sweep's span emission, the incremental
+/// tracker's dirty marking (which is what makes "dirty region ⊇ raster
+/// coverage of the changed triangles" hold by construction) and FRA's
+/// Garland–Heckbert rebucket.  For the midpoint lattice the float
+/// expressions are the raster engine's original ones, term for term.
 template <typename Sink>
 void for_each_covered_range(geo::Vec2 a, geo::Vec2 b, geo::Vec2 c,
-                            const num::Rect& region,
-                            const num::MidpointLattice& lat, long res,
-                            Sink&& sink) {
-  const double hx = lat.hx();
-  const double hy = lat.hy();
+                            const SpanLattice& lat, Sink&& sink) {
   const double ymin = std::min({a.y, b.y, c.y});
   const double ymax = std::max({a.y, b.y, c.y});
   const long jlo = std::max(
-      0L, static_cast<long>(std::floor((ymin - region.y0) / hy - 0.5)) - 1);
+      0L,
+      static_cast<long>(std::floor((ymin - lat.y0) / lat.hy - lat.offset)) -
+          1);
   const long jhi = std::min(
-      res - 1,
-      static_cast<long>(std::ceil((ymax - region.y0) / hy - 0.5)) + 1);
-  for (long j = jlo; j <= jhi; ++j) {
-    const double y = lat.y(static_cast<std::size_t>(j));
-    double xlo = std::numeric_limits<double>::infinity();
-    double xhi = -xlo;
-    const geo::Vec2 edges[3][2] = {{a, b}, {b, c}, {c, a}};
+      lat.ny - 1,
+      static_cast<long>(std::ceil((ymax - lat.y0) / lat.hy - lat.offset)) +
+          1);
+  const geo::Vec2 edges[3][2] = {{a, b}, {b, c}, {c, a}};
+  double xlo = 0.0;
+  double xhi = 0.0;
+  // Widens [xlo, xhi] by the triangle's slice at ordinate y.
+  const auto slice = [&](double y) {
     for (const auto& edge : edges) {
       const geo::Vec2 p = edge[0];
       const geo::Vec2 q = edge[1];
@@ -190,12 +245,32 @@ void for_each_covered_range(geo::Vec2 a, geo::Vec2 b, geo::Vec2 c,
         xhi = std::max(xhi, x);
       }
     }
+  };
+  for (long j = jlo; j <= jhi; ++j) {
+    const double y = lat.y(j);
+    xlo = std::numeric_limits<double>::infinity();
+    xhi = -xlo;
+    slice(y - lat.band);
+    if (lat.band > 0.0) {
+      // The extent over the band: its two end slices plus any vertex
+      // strictly between them.
+      slice(y + lat.band);
+      for (const geo::Vec2 v : {a, b, c}) {
+        if (v.y > y - lat.band && v.y < y + lat.band) {
+          xlo = std::min(xlo, v.x);
+          xhi = std::max(xhi, v.x);
+        }
+      }
+    }
     if (xhi < xlo) continue;  // Row inside the guard band only.
     const long ilo = std::max(
-        0L, static_cast<long>(std::floor((xlo - region.x0) / hx - 0.5)) - 1);
+        0L,
+        static_cast<long>(std::floor((xlo - lat.x0) / lat.hx - lat.offset)) -
+            1);
     const long ihi = std::min(
-        res - 1,
-        static_cast<long>(std::ceil((xhi - region.x0) / hx - 0.5)) + 1);
+        lat.nx - 1,
+        static_cast<long>(std::ceil((xhi - lat.x0) / lat.hx - lat.offset)) +
+            1);
     if (ilo > ihi) continue;
     sink(j, ilo, ihi);
   }

@@ -64,7 +64,7 @@ void IncrementalDelta::rebuild(const geo::Delaunay& dt) {
   // (ilo, tri) span order, strict fast assignment, hint-chained fallback
   // walks, phase-2 interpolation — but recording per-point state instead
   // of folding it away.
-  const auto res = static_cast<long>(res_);
+  const auto grid = detail::SpanLattice::midpoint(region_, lat_);
   const std::vector<int> alive = dt.alive_triangles();
   detail::TriangleSoA soa;
   soa.build(dt, alive);
@@ -74,7 +74,7 @@ void IncrementalDelta::rebuild(const geo::Delaunay& dt) {
     detail::for_each_covered_range(
         soa.a(static_cast<std::uint32_t>(slot)),
         soa.b(static_cast<std::uint32_t>(slot)),
-        soa.c(static_cast<std::uint32_t>(slot)), region_, lat_, res,
+        soa.c(static_cast<std::uint32_t>(slot)), grid,
         [&](long j, long ilo, long ihi) {
           row_spans[static_cast<std::size_t>(j)].push_back(
               detail::RowSpan{tid, static_cast<std::uint32_t>(slot),
@@ -147,7 +147,7 @@ void IncrementalDelta::rebuild(const geo::Delaunay& dt) {
 std::size_t IncrementalDelta::mark_dirty(const geo::Delaunay& dt,
                                          const std::vector<int>& tris,
                                          bool reassign) {
-  const auto res = static_cast<long>(res_);
+  const auto grid = detail::SpanLattice::midpoint(region_, lat_);
   const std::span<const double> xs = lat_.xs();
   std::size_t rows = 0;
   for (const int tid : tris) {
@@ -161,7 +161,7 @@ std::size_t IncrementalDelta::mark_dirty(const geo::Delaunay& dt,
     const geo::Vec2 c = vc.pos;
     const double total = geo::orient2d_value(a, b, c);
     detail::for_each_covered_range(
-        a, b, c, region_, lat_, res, [&](long j, long ilo, long ihi) {
+        a, b, c, grid, [&](long j, long ilo, long ihi) {
           const auto row = static_cast<std::size_t>(j);
           if (row_epoch_[row] != epoch_) {
             row_epoch_[row] = epoch_;

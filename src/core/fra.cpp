@@ -9,6 +9,7 @@
 #include <memory>
 
 #include "core/curvature.hpp"
+#include "core/delta_detail.hpp"
 #include "core/delta_incremental.hpp"
 #include "geometry/delaunay.hpp"
 #include "graph/relay.hpp"
@@ -36,6 +37,14 @@ struct Candidate {
 /// kUsedScore loses every ordered comparison and the argmax skips used
 /// candidates without a mask load.
 constexpr double kUsedScore = -1.0;
+
+/// A triangle slot's best unused candidate under (score desc, index asc).
+/// A slot that holds none — dead, or every member used — carries
+/// {kUsedScore, lattice size}, which no candidate can lose to.
+struct TriangleMax {
+  double score;
+  std::size_t index;
+};
 
 double interpolate_in(const geo::Delaunay& dt, int tri, geo::Vec2 p) {
   const auto& t = dt.triangle(tri);
@@ -175,10 +184,6 @@ FraResult FraPlanner::plan_detailed(const field::Field& reference,
         /*grain=*/64);  // A quadric fit per index: keep chunks small.
   }
 
-  // Triangle -> candidate-index buckets; sized generously since each
-  // insertion adds a bounded number of triangle slots.
-  std::vector<std::vector<std::size_t>> buckets(dt.triangle_slots() +
-                                                6 * request.k + 16);
   {
     CPS_TIMER("core.fra.initial_bucketing");
     // Located in parallel over whole lattice rows: a row's first
@@ -186,8 +191,7 @@ FraResult FraPlanner::plan_detailed(const field::Field& reference,
     // contains it, so a chunk's fresh (-1) walk start reaches the same
     // triangle the serial hint chain would — parallel assignment is
     // bit-identical to serial even for candidates exactly on shared
-    // edges (the seed diagonal).  Bucket fill stays serial, in index
-    // order.
+    // edges (the seed diagonal).
     par::parallel_for_chunks(
         n,
         [&](std::size_t row_begin, std::size_t row_end) {
@@ -203,10 +207,6 @@ FraResult FraPlanner::plan_detailed(const field::Field& reference,
           }
         },
         /*grain=*/4);
-    for (std::size_t ci = 0; ci < candidates.size(); ++ci) {
-      buckets[static_cast<std::size_t>(candidates[ci].triangle)].push_back(
-          ci);
-    }
   }
   // Lattice corners coincide with scaffolding vertices: error 0, but mark
   // them used so kRandom never wastes a node on them.  The tolerance is
@@ -236,16 +236,31 @@ FraResult FraPlanner::plan_detailed(const field::Field& reference,
     return 0.0;
   };
 
-  // Selection scores, one per candidate (kUsedScore once used): the
-  // argmax streams this array instead of the 64-byte Candidate records.
-  // Curvature scores never change after the initial pass and kRandom
-  // ignores scores, so only the error-based measures rescore on rebuckets.
+  // Selection scores, one per candidate (kUsedScore once used).  Curvature
+  // scores never change after the initial pass and kRandom ignores
+  // scores, so only the error-based measures rescore on rebuckets.
   const bool rescores = config_.measure == SelectionMeasure::kLocalError ||
                         config_.measure == SelectionMeasure::kProduct;
   std::vector<double> scores(candidates.size());
   for (std::size_t ci = 0; ci < candidates.size(); ++ci) {
     scores[ci] = candidates[ci].used ? kUsedScore : score_of(candidates[ci]);
   }
+
+  // Each triangle slot's best unused candidate: the selection argmax runs
+  // over these instead of the lattice.  `offer` folds one candidate into
+  // its triangle's maximum; the strict (score, index) order makes the
+  // result independent of the order candidates are offered in.
+  const TriangleMax no_max{kUsedScore, candidates.size()};
+  std::vector<TriangleMax> tri_max(dt.triangle_slots(), no_max);
+  const auto offer = [&](std::size_t ci) {
+    const Candidate& c = candidates[ci];
+    if (c.used) return;
+    TriangleMax& m = tri_max[static_cast<std::size_t>(c.triangle)];
+    if (scores[ci] > m.score || (scores[ci] == m.score && ci < m.index)) {
+      m = {scores[ci], ci};
+    }
+  };
+  for (std::size_t ci = 0; ci < candidates.size(); ++ci) offer(ci);
 
   // kRandom free-list: the unused candidate indices, kept ascending and
   // shrunk on used transitions instead of being rebuilt O(lattice) every
@@ -310,85 +325,121 @@ FraResult FraPlanner::plan_detailed(const field::Field& reference,
     }
   };
 
-  // Garland-Heckbert update: only candidates whose triangle died need
-  // re-location (among the fan of new triangles) and error refresh.
-  // Every insertion — refinement pick or foresight relay — must pass
-  // through here: a skipped rebucket leaves candidates keyed to dead
-  // (later recycled) triangle slots with stale errors, silently
-  // corrupting subsequent selections.
-  // The created fan of the current insertion (geometry and vertex z),
-  // gathered once per event and scanned by every displaced candidate.
-  struct FanTriangle {
-    int id;
-    geo::Triangle geometry;
-    double za, zb, zc;
+  // Garland–Heckbert update by scan conversion: only candidates whose
+  // triangle died need re-location (among the fan of new triangles) and
+  // an error refresh, and each created triangle finds them by visiting the
+  // lattice points of its own row spans.  Every insertion — refinement
+  // pick or foresight relay — must pass through here: a skipped rebucket
+  // leaves candidates keyed to dead (later recycled) triangle slots with
+  // stale errors, silently corrupting subsequent selections.
+  const detail::SpanLattice grid = detail::SpanLattice::corners(region, n);
+  // Visits every candidate in `tri`'s row spans: a superset of the
+  // candidates the triangle contains within Triangle::kContainsTol.
+  const auto for_each_spanned = [&](int tri, auto&& visit) {
+    const auto& t = dt.triangle(tri);
+    detail::for_each_covered_range(
+        dt.vertex(t.v[0]).pos, dt.vertex(t.v[1]).pos, dt.vertex(t.v[2]).pos,
+        grid, [&](long j, long ilo, long ihi) {
+          const std::size_t row = static_cast<std::size_t>(j) * n;
+          for (long i = ilo; i <= ihi; ++i) {
+            visit(row + static_cast<std::size_t>(i));
+          }
+        });
   };
-  std::vector<FanTriangle> fan;
-  std::vector<std::size_t> displaced;
+  // Recomputes the maximum of a live triangle from the candidates it
+  // holds, first refreshing their errors when the surface over it moved.
+  // Returns how many it holds.
+  const auto rescan = [&](int tri, bool refresh_errors) {
+    std::size_t held = 0;
+    tri_max[static_cast<std::size_t>(tri)] = no_max;
+    for_each_spanned(tri, [&](std::size_t ci) {
+      Candidate& c = candidates[ci];
+      if (c.triangle != tri) return;
+      if (refresh_errors) {
+        c.error = std::abs(c.f_value - interpolate_in(dt, tri, c.pos));
+        rescore(ci);
+      }
+      offer(ci);
+      ++held;
+    });
+    return held;
+  };
+  // removed_in[slot] == event marks the slots the current insertion
+  // removed; a candidate still keyed to one is displaced.  Created and
+  // removed ids never overlap within one insertion (Delaunay::insert).
+  std::vector<std::uint32_t> removed_in(dt.triangle_slots(), 0);
+  std::uint32_t event = 0;
+  std::vector<std::size_t> missed;
   const auto rebucket_after = [&](const geo::InsertResult& ins) {
     CPS_TIMER("core.fra.rebucket");
     if (!ins.inserted) {
       if (!ins.z_changed) return;
       // Duplicate-tolerance hit that rewrote an existing vertex's z: the
-      // topology (and with it every bucket) is intact, but the surface
-      // over the vertex's star moved, so the candidates bucketed there
-      // hold stale errors — the staleness bug the z_changed report
-      // closes.  Refresh them in place; no relocation is needed.
+      // topology (and with it every assignment) is intact, but the surface
+      // over the vertex's star moved, so the candidates there hold stale
+      // errors — the staleness bug the z_changed report closes.  Refresh
+      // them in place; no relocation is needed.
       std::size_t refreshed = 0;
       for (const int tri : ins.star_triangles) {
-        for (const std::size_t ci : buckets[static_cast<std::size_t>(tri)]) {
-          auto& c = candidates[ci];
-          c.error =
-              std::abs(c.f_value - interpolate_in(dt, c.triangle, c.pos));
-          rescore(ci);
-          ++refreshed;
-        }
+        refreshed += rescan(tri, /*refresh_errors=*/true);
       }
       CPS_COUNT("core.fra.candidates_rebucketed", refreshed);
       return;
     }
-    if (buckets.size() < dt.triangle_slots()) {
-      buckets.resize(dt.triangle_slots() * 2);
+    if (tri_max.size() < dt.triangle_slots()) {
+      tri_max.resize(dt.triangle_slots(), no_max);
+      removed_in.resize(dt.triangle_slots(), 0);
     }
-    displaced.clear();
+    ++event;
     for (const int dead : ins.removed_triangles) {
-      auto& bucket = buckets[static_cast<std::size_t>(dead)];
-      displaced.insert(displaced.end(), bucket.begin(), bucket.end());
-      bucket.clear();
+      removed_in[static_cast<std::size_t>(dead)] = event;
+      tri_max[static_cast<std::size_t>(dead)] = no_max;
     }
-    fan.clear();
+    // Created triangles in creation order: a displaced candidate takes
+    // the first one that contains it (closed, with Triangle::contains'
+    // tolerance), and its error reuses the barycentric of that test —
+    // interpolate_linear's own.  One that fails stays displaced for the
+    // later fan triangles.
+    std::size_t moved = 0;
+    missed.clear();
     for (const int fresh : ins.created_triangles) {
+      const geo::Triangle geometry = dt.triangle_geometry(fresh);
       const auto& t = dt.triangle(fresh);
-      fan.push_back(FanTriangle{fresh, dt.triangle_geometry(fresh),
-                                dt.vertex(t.v[0]).z, dt.vertex(t.v[1]).z,
-                                dt.vertex(t.v[2]).z});
-    }
-    for (const std::size_t ci : displaced) {
-      auto& c = candidates[ci];
-      c.triangle = -1;
-      // The first fan triangle that contains the candidate (closed, with
-      // Triangle::contains' tolerance) takes it; the barycentric of that
-      // test is interpolate_linear's own, so the error reuses it.
-      for (const FanTriangle& t : fan) {
-        const geo::Barycentric w = t.geometry.barycentric(c.pos);
-        if (w.inside(geo::Triangle::kContainsTol)) {
-          c.triangle = t.id;
-          c.error = std::abs(
-              c.f_value - geo::interpolate_linear(w, t.za, t.zb, t.zc));
-          break;
+      const double za = dt.vertex(t.v[0]).z;
+      const double zb = dt.vertex(t.v[1]).z;
+      const double zc = dt.vertex(t.v[2]).z;
+      for_each_spanned(fresh, [&](std::size_t ci) {
+        Candidate& c = candidates[ci];
+        if (removed_in[static_cast<std::size_t>(c.triangle)] != event) return;
+        const geo::Barycentric w = geometry.barycentric(c.pos);
+        if (!w.inside(geo::Triangle::kContainsTol)) {
+          missed.push_back(ci);
+          return;
         }
-      }
-      if (c.triangle == -1) {
-        // Numerical corner case: the point sits exactly on the cavity
-        // boundary; a full locate resolves it.
-        c.triangle = dt.locate(c.pos);
+        c.triangle = fresh;
         c.error =
-            std::abs(c.f_value - interpolate_in(dt, c.triangle, c.pos));
-      }
-      buckets[static_cast<std::size_t>(c.triangle)].push_back(ci);
-      rescore(ci);
+            std::abs(c.f_value - geo::interpolate_linear(w, za, zb, zc));
+        rescore(ci);
+        offer(ci);
+        ++moved;
+      });
     }
-    CPS_COUNT("core.fra.candidates_rebucketed", displaced.size());
+    // Numerical corner case: a point on the cavity boundary that no fan
+    // triangle takes; a full locate resolves it, in ascending index order.
+    std::sort(missed.begin(), missed.end());
+    missed.erase(std::unique(missed.begin(), missed.end()), missed.end());
+    std::size_t fallbacks = 0;
+    for (const std::size_t ci : missed) {
+      Candidate& c = candidates[ci];
+      if (removed_in[static_cast<std::size_t>(c.triangle)] != event) continue;
+      c.triangle = dt.locate(c.pos);
+      c.error = std::abs(c.f_value - interpolate_in(dt, c.triangle, c.pos));
+      rescore(ci);
+      offer(ci);
+      ++fallbacks;
+    }
+    CPS_COUNT("core.fra.candidates_rebucketed", moved + fallbacks);
+    CPS_COUNT("core.fra.rebucket_fallbacks", fallbacks);
   };
 
   // Spends up to `budget` nodes on the *caller-computed* relay plan.  The
@@ -415,13 +466,13 @@ FraResult FraPlanner::plan_detailed(const field::Field& reference,
   };
 
   CPS_TIMER("core.fra.refine_loop");
-  std::size_t timeline_iteration = 0;
+  [[maybe_unused]] std::size_t timeline_iteration = 0;
   while (selected.size() < request.k) {
     CPS_COUNT("core.fra.iterations", 1);
     // Iteration boundary for the telemetry timeline: each sample's deltas
     // (rebuckets, scans) cover the *previous* iteration; the first covers
     // lattice seeding, the closing sample after the loop the final
-    // iteration plus the bucket audit.
+    // iteration plus the assignment audit.
     CPS_TIMELINE_SAMPLE("core.fra.iteration", timeline_iteration++);
     // Foresight (Table 1 lines 5-8): when the remaining budget is no more
     // than the relay count needed for connectivity, spend it on relays.
@@ -478,23 +529,23 @@ FraResult FraPlanner::plan_detailed(const field::Field& reference,
             0, static_cast<std::int64_t>(pool->size()) - 1))];
       }
     } else {
-      // Flat argmax over the score array.  Used candidates sit at
-      // kUsedScore, so the first pass is a pure unconstrained max — no
-      // per-candidate used or affordability test.  If the winner is
-      // affordable it *is* the greedy argmax: the strict > / first-index
-      // rule picks the first candidate carrying the maximum affordable
-      // score, and an affordable global maximum is exactly that.  Only
-      // when the winner is unaffordable (a far-from-net pick under a
-      // tight relay budget — rare) does the filtered rescan run.
-      std::size_t scanned = candidates.size();
+      // Argmax over the triangle maxima under (score desc, index asc): the
+      // first maximum in lattice order over all unused candidates.  If
+      // the winner is affordable it *is* the greedy argmax.  Only when it
+      // is unaffordable (a far-from-net pick under a tight relay budget —
+      // rare) does a filtered first-maximum rescan of the score array run;
+      // used candidates sit at kUsedScore there and lose every compare.
+      std::size_t scanned = tri_max.size();
       double best_score = kUsedScore;
-      for (std::size_t ci = 0; ci < candidates.size(); ++ci) {
-        if (scores[ci] > best_score) {
-          best_score = scores[ci];
-          best = ci;
+      for (const TriangleMax& m : tri_max) {
+        if (m.score > best_score ||
+            (m.score == best_score && m.index < best)) {
+          best_score = m.score;
+          best = m.index;
         }
       }
       if (best != candidates.size() && !affordable(best)) {
+        CPS_COUNT("core.fra.affordable_rescans", 1);
         scanned += candidates.size();
         best = candidates.size();
         best_score = kUsedScore;
@@ -543,12 +594,18 @@ FraResult FraPlanner::plan_detailed(const field::Field& reference,
       track_insert(ins);
       rebucket_after(ins);
     }
+    // A triangle that survives its own pick's insertion (a duplicate
+    // insert at an existing vertex) still names the now-used pick as its
+    // maximum.
+    if (tri_max[static_cast<std::size_t>(chosen.triangle)].index == best) {
+      rescan(chosen.triangle, /*refresh_errors=*/false);
+    }
   }
 
-  // Bucket-consistency audit (cheap: one contains() per candidate).  A
-  // nonzero count means some candidate still references a dead or reused
-  // triangle slot — the stale-bucket corruption the relay rebucketing
-  // fix closes; tests assert this is 0.
+  // Assignment audit (cheap: one contains() per candidate).  A nonzero
+  // count means some candidate still references a dead or reused triangle
+  // slot — a rebucket that missed it (a skipped insertion, or a span that
+  // failed to cover it); tests assert this is 0.
   {
     std::size_t stale = 0;
     for (const auto& c : candidates) {

@@ -15,13 +15,18 @@
 //      positions inside the retriangulated cavity can have changed, so the
 //      update is O(cavity), the Garland-Heckbert structure.
 //
-// The per-iteration argmax is a flat scan of one score array, in which
-// used candidates hold a negative sentinel: the first maximum wins, so
-// ties go to the lowest lattice index.  Only when that winner is
-// unaffordable under the foresight budget does a second scan filter by
-// affordability.  The Garland–Heckbert rebucket just stores each
-// displaced candidate's new score.  tests/test_perf_equivalence checks
-// the selection against a brute-force greedy reference.
+// As in Garland and Heckbert ("Fast Polygonal Approximation of Terrains
+// and Height Fields", CMU-CS-95-181, 1995), each insertion scan-converts
+// its new triangles over the candidate lattice: a candidate whose triangle
+// died takes the first new triangle, in creation order, that contains it
+// (the shared span emitter of core/delta_detail.hpp finds them), and each
+// triangle keeps its best candidate under (score desc, index asc).  The
+// per-iteration argmax runs over those per-triangle maxima with the same
+// order, so it picks the first maximum in lattice order, as a scan of
+// every candidate would.  Only when that winner is unaffordable under the
+// foresight budget does a filtered rescan of all candidate scores run.
+// tests/test_perf_equivalence checks the selection against a brute-force
+// greedy reference.
 //
 // The foresight step reads the disk graph's components off a union-find
 // kept as positions are selected, and prices them with
@@ -86,10 +91,11 @@ struct FraResult {
   Deployment deployment;
   std::vector<FraStep> steps;
   std::size_t relay_count = 0;
-  /// Candidates whose triangle bucket was inconsistent (dead, reused, or
-  /// not containing the candidate) when planning finished.  Always 0 for
-  /// a correct Garland-Heckbert update; exposed so tests can catch a
-  /// reintroduction of the stale-bucket-after-relay-insertion bug.
+  /// Candidates whose triangle assignment was inconsistent (dead, reused,
+  /// or not containing the candidate) when planning finished.  Always 0
+  /// for a correct Garland-Heckbert update; exposed so tests can catch a
+  /// rebucket that misses candidates (a skipped relay insertion, or row
+  /// spans that fail to reach a candidate).
   std::size_t stale_candidates = 0;
   /// Tracked δ after each step (parallel to `steps`; empty unless
   /// FraConfig::track_delta is set).

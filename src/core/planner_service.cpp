@@ -119,7 +119,7 @@ struct PlannerService::Impl {
     pending.job = std::move(job);
     pending.submitted = Clock::now();
     std::future<JobResult> future = pending.promise.get_future();
-    std::size_t depth = 0;
+    [[maybe_unused]] std::size_t depth = 0;  // Feeds only the gauge.
     {
       const std::lock_guard<std::mutex> lock(mu);
       queue.push_back(std::move(pending));

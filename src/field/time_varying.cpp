@@ -55,11 +55,15 @@ void FrameSequenceField::do_value_row(double y, std::span<const double> xs,
   const std::size_t lo = hi - 1;
   const double span = timestamps_[hi] - timestamps_[lo];
   const double w = (t - timestamps_[lo]) / span;
+  frames_[lo].value_row(y, xs, out);
+  // At a frame stamp (w == 0) the blend is the lower frame itself: skip
+  // sampling the upper one.  (The blend would differ only where the upper
+  // value is non-finite, or turn a -0.0 into +0.0; do_value skips alike.)
+  if (w == 0.0) return;
   // Scratch for the hi frame's row; reused across calls so the delta
   // metric's row sweep doesn't allocate per row.
   thread_local std::vector<double> hi_row;
   hi_row.resize(xs.size());
-  frames_[lo].value_row(y, xs, out);
   frames_[hi].value_row(y, xs, hi_row.data());
   const double* hi_p = hi_row.data();
   CPS_SIMD
@@ -81,6 +85,7 @@ double FrameSequenceField::do_value(geo::Vec2 p, double t) const {
   const std::size_t lo = hi - 1;
   const double span = timestamps_[hi] - timestamps_[lo];
   const double w = (t - timestamps_[lo]) / span;
+  if (w == 0.0) return frames_[lo].value(p);  // As do_value_row.
   return frames_[lo].value(p) * (1.0 - w) + frames_[hi].value(p) * w;
 }
 

@@ -258,11 +258,14 @@ InsertResult Delaunay::insert(Vec2 p, double z, double duplicate_tol) {
 
   // A point on a region-border edge leaves that edge on the cavity
   // boundary but collinear with p; the (p, a, b) triangle it would spawn is
-  // degenerate.  Drop such edges — the fan then forms an open chain whose
-  // two dangling (p, endpoint) edges lie on the region border.
+  // degenerate.  A point a few ulps past the border (inside the bounds
+  // tolerance, as a lattice row x0 + j * dx can land) would spawn a
+  // clockwise sliver outside the region.  Drop such edges — the fan then
+  // forms an open chain whose two dangling (p, endpoint) edges lie on the
+  // region border.
   std::erase_if(boundary, [&](const BoundaryEdge& edge) {
     return orient2d(vertices_[static_cast<std::size_t>(edge.a)].pos,
-                    vertices_[static_cast<std::size_t>(edge.b)].pos, p) == 0;
+                    vertices_[static_cast<std::size_t>(edge.b)].pos, p) <= 0;
   });
 
   // Retriangulate: one new triangle (p, a, b) per boundary edge.  New

@@ -75,10 +75,6 @@ int incircle_impl(F ax, F ay, F bx, F by, F cx, F cy, F dx, F dy,
 
 }  // namespace
 
-double orient2d_value(Vec2 a, Vec2 b, Vec2 c) noexcept {
-  return (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x);
-}
-
 int orient2d(Vec2 a, Vec2 b, Vec2 c) noexcept {
   const int fast = orient_impl<double>(a.x, a.y, b.x, b.y, c.x, c.y,
                                        orient_bound<double>);

@@ -20,7 +20,10 @@ namespace cps::geo {
 int orient2d(Vec2 a, Vec2 b, Vec2 c) noexcept;
 
 /// Raw signed doubled area (no filtering); useful when magnitude matters.
-double orient2d_value(Vec2 a, Vec2 b, Vec2 c) noexcept;
+/// Inline: the barycentric and interpolation hot loops call it per point.
+inline double orient2d_value(Vec2 a, Vec2 b, Vec2 c) noexcept {
+  return (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x);
+}
 
 /// Sign of the incircle determinant for CCW triangle (a, b, c):
 /// +1 when d is strictly inside the circumcircle, -1 strictly outside,

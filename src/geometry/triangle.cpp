@@ -20,18 +20,6 @@ bool Triangle::degenerate(double tol) const noexcept {
   return std::abs(signed_area()) <= tol * std::max(scale, 1e-300);
 }
 
-Barycentric Triangle::barycentric(Vec2 p) const noexcept {
-  const double total = orient2d_value(v_[0], v_[1], v_[2]);
-  if (total == 0.0) return {};
-  const double w0 = orient2d_value(p, v_[1], v_[2]) / total;
-  const double w1 = orient2d_value(v_[0], p, v_[2]) / total;
-  return {w0, w1, 1.0 - w0 - w1};
-}
-
-bool Triangle::contains(Vec2 p, double tol) const noexcept {
-  return barycentric(p).inside(tol);
-}
-
 std::optional<Circumcircle> Triangle::circumcircle() const noexcept {
   const double d = 2.0 * orient2d_value(v_[0], v_[1], v_[2]);
   if (d == 0.0) return std::nullopt;
@@ -56,11 +44,6 @@ double Triangle::longest_edge() const noexcept {
 double interpolate_linear(const Triangle& t, double za, double zb, double zc,
                           Vec2 p) noexcept {
   return interpolate_linear(t.barycentric(p), za, zb, zc);
-}
-
-double interpolate_linear(const Barycentric& w, double za, double zb,
-                          double zc) noexcept {
-  return w.w0 * za + w.w1 * zb + w.w2 * zc;
 }
 
 }  // namespace cps::geo

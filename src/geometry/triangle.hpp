@@ -4,6 +4,7 @@
 #include <array>
 #include <optional>
 
+#include "geometry/predicates.hpp"
 #include "geometry/vec2.hpp"
 
 namespace cps::geo {
@@ -52,13 +53,21 @@ class Triangle {
   /// are returned as +inf-free garbage guarded by `degenerate()`; callers
   /// must check degeneracy first (the Delaunay structure never stores
   /// degenerate triangles).
-  Barycentric barycentric(Vec2 p) const noexcept;
+  Barycentric barycentric(Vec2 p) const noexcept {
+    const double total = orient2d_value(v_[0], v_[1], v_[2]);
+    if (total == 0.0) return {};
+    const double w0 = orient2d_value(p, v_[1], v_[2]) / total;
+    const double w1 = orient2d_value(v_[0], p, v_[2]) / total;
+    return {w0, w1, 1.0 - w0 - w1};
+  }
 
   /// Default slack of contains(), in barycentric units.
   static constexpr double kContainsTol = 1e-9;
 
   /// True if p lies inside or on the boundary (barycentric(p).inside(tol)).
-  bool contains(Vec2 p, double tol = kContainsTol) const noexcept;
+  bool contains(Vec2 p, double tol = kContainsTol) const noexcept {
+    return barycentric(p).inside(tol);
+  }
 
   /// Circumcircle; std::nullopt for degenerate triangles.
   std::optional<Circumcircle> circumcircle() const noexcept;
@@ -82,7 +91,9 @@ double interpolate_linear(const Triangle& t, double za, double zb, double zc,
 
 /// The same interpolation from weights already in hand (w = t.barycentric(p)
 /// gives interpolate_linear(t, za, zb, zc, p)'s bits).
-double interpolate_linear(const Barycentric& w, double za, double zb,
-                          double zc) noexcept;
+inline double interpolate_linear(const Barycentric& w, double za, double zb,
+                                 double zc) noexcept {
+  return w.w0 * za + w.w1 * zb + w.w2 * zc;
+}
 
 }  // namespace cps::geo

@@ -1,9 +1,12 @@
 // Tests for environment models (field/*).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <memory>
+#include <vector>
 
 #include "field/analytic_fields.hpp"
 #include "field/field.hpp"
@@ -219,6 +222,39 @@ TEST(FrameSequenceField, LinearInTime) {
   EXPECT_DOUBLE_EQ(seq.value({50.0, 50.0}, 10.0), 10.0);
   EXPECT_DOUBLE_EQ(seq.value({50.0, 50.0}, 2.5), 2.5);
   EXPECT_DOUBLE_EQ(seq.value({50.0, 50.0}, 7.5), 7.5);
+}
+
+TEST(FrameSequenceField, FrameStampIsTheLowerFrameBitForBit) {
+  // At an interior frame stamp the blend weight is 0: the result is that
+  // frame alone, and the next frame is not sampled.  An infinite next
+  // frame shows it (inf * 0 is NaN), and so does a -0.0 sample
+  // (-0.0 * 1 + 0.0 is +0.0).
+  const AnalyticField shape([](double x, double y) {
+    return x == 50.0 ? -0.0 : 0.3 * x - 0.7 * y + 1.0 / 3.0;
+  });
+  const GridField stamp = GridField::sample(shape, kRegion, 5, 5);
+  std::vector<GridField> frames{
+      GridField::sample(ConstantField(1.0), kRegion, 5, 5), stamp,
+      GridField::sample(
+          ConstantField(std::numeric_limits<double>::infinity()), kRegion, 5,
+          5)};
+  const FrameSequenceField seq(std::move(frames), {0.0, 10.0, 20.0});
+  const std::vector<double> xs{0.0, 12.5, 33.0, 50.0, 71.25, 100.0};
+  for (const double y : {0.0, 40.0, 87.5}) {
+    std::vector<double> got(xs.size());
+    std::vector<double> want(xs.size());
+    seq.value_row(y, xs, 10.0, got.data());
+    stamp.value_row(y, xs, want.data());
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i]),
+                std::bit_cast<std::uint64_t>(want[i]))
+          << "x=" << xs[i] << " y=" << y;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(seq.value({xs[i], y}, 10.0)),
+                std::bit_cast<std::uint64_t>(want[i]))
+          << "x=" << xs[i] << " y=" << y;
+    }
+  }
+  EXPECT_TRUE(std::signbit(seq.value({50.0, 50.0}, 10.0)));
 }
 
 TEST(FrameSequenceField, ClampsOutsideTimeRange) {

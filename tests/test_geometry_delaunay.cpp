@@ -90,6 +90,29 @@ TEST(Delaunay, InsertOnRegionEdge) {
   EXPECT_NEAR(dt.total_area(), kRegion.area(), 1e-9);
 }
 
+TEST(Delaunay, InsertJustPastRegionEdgeKeepsEveryTriangleCcw) {
+  // A lattice row x0 + j * (h / (n - 1)) can land a few ulps past the
+  // region edge (11 * (100 / 11) = 100.00000000000001): inside the bounds
+  // tolerance, but strictly beyond the border edge.  That edge must leave
+  // the cavity boundary as an on-edge point's does; spawning a triangle
+  // on it would make a clockwise sliver outside the region.
+  const double top = 11.0 * (100.0 / 11.0);
+  ASSERT_GT(top, kRegion.y1);
+  Delaunay dt(kRegion);
+  for (int i = 1; i < 11; ++i) {
+    const InsertResult r = dt.insert({i * (100.0 / 11.0), top}, 1.0);
+    EXPECT_TRUE(r.inserted);
+    ASSERT_TRUE(dt.validate_topology()) << "insert " << i;
+  }
+  EXPECT_NEAR(dt.total_area(), kRegion.area(), 1e-9);
+  for (int j = 0; j <= 11; ++j) {
+    for (int i = 0; i <= 11; ++i) {
+      const Vec2 p{i * (100.0 / 11.0), j * (100.0 / 11.0)};
+      EXPECT_TRUE(dt.triangle_geometry(dt.locate(p)).contains(p));
+    }
+  }
+}
+
 TEST(Delaunay, InsertResultReportsCavity) {
   Delaunay dt(kRegion);
   const InsertResult r = dt.insert({25.0, 10.0}, 0.0);

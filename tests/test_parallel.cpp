@@ -254,7 +254,9 @@ TEST(SpatialHash, EveryPointLandsInExactlyOneCell) {
     bool first = true;
     for (const std::uint32_t id : hash.cell_members(c)) {
       ++seen[id];
-      if (!first) EXPECT_LT(prev, id);  // Ascending inside each cell.
+      if (!first) {
+        EXPECT_LT(prev, id);  // Ascending inside each cell.
+      }
       prev = id;
       first = false;
     }

@@ -1,11 +1,12 @@
 // Bit-identity tests for the fast paths against brute-force references:
 //
-//  * FRA's flat argmax over its rebucket-maintained score array vs a
+//  * FRA's argmax over its rebucket-maintained triangle maxima vs a
 //    greedy FRA that rescores every candidate each iteration and takes
 //    the first maximum in lattice order, across every deterministic
 //    SelectionMeasure, both foresight modes, and k from 10 to 2000 —
-//    including unaffordable maxima (the filtered rescan) and the large
-//    early cavities that rescore most of the lattice per insertion;
+//    including unaffordable maxima (the filtered rescan), a 201 x 201
+//    lattice, lattice rows that overshoot the region border, and picks
+//    that re-insert an existing vertex;
 //  * MessageBus delivery over core::ShardGrid's tile matching vs an
 //    all-pairs probe that calls transmit() on every ordered pair, for
 //    every link model, under position and liveness churn, at 1 and 4
@@ -44,7 +45,7 @@ namespace {
 const num::Rect kRegion{0.0, 0.0, 100.0, 100.0};
 constexpr double kRc = 10.0;
 
-// --- FRA: flat argmax vs brute-force greedy ------------------------------
+// --- FRA: triangle-maxima argmax vs brute-force greedy -------------------
 
 /// A fig5/fig6-like reference surface: smooth trend plus sharp plateaus,
 /// so local error, curvature, and their product all rank candidates
@@ -281,26 +282,89 @@ TEST(FraSelectionEquivalence, UnaffordableMaximaFallBackToAffordableArgmax) {
   const auto planned = core::FraPlanner(cfg).plan_detailed(f, request);
 
   // The config must actually exercise the filtered rescan (visible only
-  // where the obs counters are compiled in): each iteration's first pass
-  // scans the lattice once, so any excess is a rescan.
+  // where the obs counters are compiled in).
 #if defined(CPS_OBS_ENABLED)
-  const std::uint64_t lattice = 100 * 100;
-  EXPECT_GT(obs::registry().counter("core.fra.candidates_scanned").value(),
-            lattice * obs::registry().counter("core.fra.iterations").value());
+  EXPECT_GT(obs::registry().counter("core.fra.affordable_rescans").value(),
+            0u);
 #endif
+  EXPECT_EQ(planned.stale_candidates, 0u);
   expect_identical(planned, brute_force_fra(f, cfg, request));
 }
 
-TEST(FraSelectionEquivalence, LargeEarlyCavitiesKeepTheGreedyChoice) {
-  // Early k = 100 iterations on a coarse triangulation rebucket most of
-  // the lattice per insert; later ones displace little.  Neither regime
-  // may perturb a single selection.
-  const core::FraConfig cfg =
-      fra_config(core::SelectionMeasure::kLocalError, true);
-  const core::PlanRequest request{kRegion, 100, kRc};
+TEST(FraSelectionEquivalence, MatchesBruteForceOnTheQueryServiceShape) {
+  // The planner service's Plan job shape: a 201 x 201 candidate lattice
+  // (four times the paper's) at k = 30, where a few large early cavities
+  // rebucket most of 40 401 candidates and the triangle maxima replace
+  // a 40 401-point argmax.
+  core::FraConfig cfg = fra_config(core::SelectionMeasure::kLocalError, true);
+  cfg.error_grid = 201;
+  const core::PlanRequest request{kRegion, 30, kRc};
   const auto f = reference_surface();
-  expect_identical(core::FraPlanner(cfg).plan_detailed(f, request),
-                   brute_force_fra(f, cfg, request));
+  const auto planned = core::FraPlanner(cfg).plan_detailed(f, request);
+  EXPECT_EQ(planned.stale_candidates, 0u);
+  expect_identical(planned, brute_force_fra(f, cfg, request));
+}
+
+TEST(FraSelectionEquivalence, OvershootingBorderRowsStayAssigned) {
+  // An offset origin and a 1000 m side: x0 + (n - 1) * dx lands past x1,
+  // and likewise in y, so the last lattice row and column lie a few ulps
+  // outside the region.  The border triangles still contain them within
+  // Triangle::kContainsTol, and the rebucket's spans must reach them.
+  const double x0 = 0.3;
+  const double y0 = -250.0;
+  const num::Rect region{x0, y0, x0 + 1000.0, y0 + 1000.0};
+  core::FraConfig cfg = fra_config(core::SelectionMeasure::kLocalError, true);
+  cfg.error_grid = 31;
+  const double dx = region.width() / static_cast<double>(cfg.error_grid - 1);
+  const double dy = region.height() / static_cast<double>(cfg.error_grid - 1);
+  const double last = static_cast<double>(cfg.error_grid - 1);
+  ASSERT_GT(region.x0 + last * dx, region.x1);
+  ASSERT_GT(region.y0 + last * dy, region.y1);
+
+  // reference_surface() stretched over the region.
+  const field::AnalyticField f([&](double x, double y) {
+    const double u = (x - x0) / 10.0;
+    const double v = (y - y0) / 10.0;
+    return 10.0 + 0.05 * u * v / 100.0 + 3.0 * (u > 40 && u < 60) +
+           2.0 * (v > 20 && v < 50);
+  });
+  const core::PlanRequest request{region, 150, 10.0 * kRc};
+  const auto planned = core::FraPlanner(cfg).plan_detailed(f, request);
+  EXPECT_EQ(planned.stale_candidates, 0u);
+  expect_identical(planned, brute_force_fra(f, cfg, request));
+}
+
+TEST(FraSelectionEquivalence, RepickingARelayVertexKeepsTheGreedyChoice) {
+  // On a 5 m lattice with rc = 1.3, relays placed mid-plan (the
+  // no-affordable-candidate retry) split gaps between lattice points and
+  // often land on lattice points.  Curvature never sees an inserted
+  // vertex, so a later pick can be such a point: its insertion is a
+  // duplicate that keeps the triangulation's topology, and more picks
+  // follow.  The triangle that held the pick must give up its maximum:
+  // in this plan a re-picked vertex is the global maximum, which the next
+  // selection would otherwise take again.
+  core::FraConfig cfg = fra_config(core::SelectionMeasure::kCurvature, true);
+  cfg.error_grid = 21;
+  const core::PlanRequest request{kRegion, 128, 1.3};
+  const auto f = reference_surface();
+  const auto planned = core::FraPlanner(cfg).plan_detailed(f, request);
+
+  std::size_t repicks = 0;
+  std::size_t picks_after_a_repick = 0;
+  for (std::size_t i = 0; i < planned.steps.size(); ++i) {
+    if (planned.steps[i].relay) continue;
+    if (repicks > 0) ++picks_after_a_repick;
+    for (std::size_t j = 0; j < i; ++j) {
+      if (planned.steps[j].position.x == planned.steps[i].position.x &&
+          planned.steps[j].position.y == planned.steps[i].position.y) {
+        ++repicks;
+      }
+    }
+  }
+  EXPECT_GT(repicks, 0u);
+  EXPECT_GT(picks_after_a_repick, 0u);
+  EXPECT_EQ(planned.stale_candidates, 0u);
+  expect_identical(planned, brute_force_fra(f, cfg, request));
 }
 
 TEST(FraRebucket, SharedFanEdgeCandidatesTakeTheFirstContainingTriangle) {
