@@ -96,8 +96,19 @@ struct TriangleSoA {
 /// the walk's closed-containment test accepts this triangle and rejects
 /// every other (p is on no edge, and triangle interiors are disjoint),
 /// i.e. locate_from returns this triangle for ANY hint.
+///
+/// The double-precision filter runs on all three edges before any branch:
+/// a certified sign is exactly orient2d's answer, so three certified
+/// positives are a pass and one certified negative a fail.  Only a point
+/// the filter cannot settle (on or within rounding of an edge line) runs
+/// the three full predicates.
 inline bool strictly_inside(geo::Vec2 a, geo::Vec2 b, geo::Vec2 c,
                             geo::Vec2 p) {
+  const int sa = geo::orient2d_filter(b, c, p);
+  const int sb = geo::orient2d_filter(c, a, p);
+  const int sc = geo::orient2d_filter(a, b, p);
+  if (sa < 0 || sb < 0 || sc < 0) return false;
+  if (sa > 0 && sb > 0 && sc > 0) return true;
   if (geo::orient2d(b, c, p) <= 0) return false;
   if (geo::orient2d(c, a, p) <= 0) return false;
   return geo::orient2d(a, b, p) > 0;
@@ -167,8 +178,9 @@ struct SpanLattice {
   /// triangle's x-extent over [y − band, y + band], not only its slice at
   /// y.  A consumer that accepts points within a tolerance of a triangle
   /// (FRA's barycentric test) needs a band: a point just past a
-  /// near-horizontal edge — say on a border row that lands a few ulps past
-  /// the region edge, 11 · (100/11) = 100.00000000000001 — can lie on a
+  /// near-horizontal edge — or a row whose ordinate y(j) is a few ulps off
+  /// the points it stands for, as FRA's last row is (11 · (100/11) =
+  /// 100.00000000000001, while its points sit on y1 = 100) — can lie on a
   /// row that meets the triangle at one vertex only, or not at all.
   /// Strict-containment consumers (the δ sweeps) use 0, the slice at y
   /// alone: no point outside the closed triangle is strictly inside.
@@ -187,10 +199,11 @@ struct SpanLattice {
   }
 
   /// FRA's n × n corner lattice over `region` (ordinates are exactly the
-  /// planner's region.y0 + j · dy), with a half-pitch band.  A point that
-  /// passes the barycentric test at Triangle::kContainsTol lies in the
-  /// triangle scaled by 1 + 3 · kContainsTol about its centroid — a few
-  /// 1e-9 diameters from it, far inside half a pitch.
+  /// planner's region.y0 + j · dy, except the last: the planner puts it on
+  /// y1, at most a few ulps from y(n − 1)), with a half-pitch band.  A
+  /// point that passes the barycentric test at Triangle::kContainsTol lies
+  /// in the triangle scaled by 1 + 3 · kContainsTol about its centroid — a
+  /// few 1e-9 diameters from it, far inside half a pitch.
   static SpanLattice corners(const num::Rect& region, std::size_t n) {
     const double hy = region.height() / static_cast<double>(n - 1);
     return {region.x0,

@@ -58,6 +58,7 @@ void IncrementalDelta::rebuild(const geo::Delaunay& dt) {
   row_lo_.assign(res_, 0);
   row_hi_.assign(res_, -1);
   chunk_epoch_.assign(chunks, 0);
+  tri_epoch_.assign(dt.triangle_slots(), 0);
   epoch_ = 0;
 
   // Full sweep, replaying delta_raster exactly: span emission, per-row
@@ -149,6 +150,25 @@ std::size_t IncrementalDelta::mark_dirty(const geo::Delaunay& dt,
                                          bool reassign) {
   const auto grid = detail::SpanLattice::midpoint(region_, lat_);
   const std::span<const double> xs = lat_.xs();
+  if (reassign) {
+    if (tri_epoch_.size() < dt.triangle_slots()) {
+      tri_epoch_.resize(dt.triangle_slots(), 0);
+    }
+    for (const int tid : tris) {
+      tri_epoch_[static_cast<std::size_t>(tid)] = epoch_;
+    }
+  }
+  // A point strictly inside a live triangle this event did not stamp is
+  // where a fresh sweep leaves it: strict containment is unique and
+  // hint-independent, and that triangle's vertices and z are unchanged.
+  // The stamp is complete — an insert's or remove's removed triangles are
+  // dead (created and removed ids never overlap), and a move lists every
+  // live triangle it touched, recycled slots included.
+  const auto untouched = [&](std::size_t k) {
+    const int tid = assign_[k];
+    return strict_[k] != 0 && dt.triangle_alive(tid) &&
+           tri_epoch_[static_cast<std::size_t>(tid)] != epoch_;
+  };
   std::size_t rows = 0;
   for (const int tid : tris) {
     if (!dt.triangle_alive(tid)) continue;
@@ -177,6 +197,7 @@ std::size_t IncrementalDelta::mark_dirty(const geo::Delaunay& dt,
           for (long i = ilo; i <= ihi; ++i) {
             const std::size_t k = base + static_cast<std::size_t>(i);
             if (point_epoch_[k] != epoch_) {
+              if (reassign && untouched(k)) continue;
               point_epoch_[k] = epoch_;
               // Unresolved until a created triangle strictly contains it;
               // assign_ keeps the old triangle for the walk's comparison.

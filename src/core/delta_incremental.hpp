@@ -13,14 +13,20 @@
 // bit-identical to a fresh DeltaMetric::delta() of the same triangulation
 // (and therefore to locating every point with a remembering walk).  That
 // holds because
-//  * assignments are re-derived through the raster's own rules — a
-//    covered point strictly inside a created triangle takes it straight
-//    from the span being scanned (strict containment is unique and
-//    hint-independent, so it is the fresh sweep's fast assignment), every
-//    other dirty point replays locate_from with the exact hint the fresh
-//    sweep would carry (the previous point's assignment, -1 at a chunk
-//    head of detail::kChunkRows rows), visiting points in ascending order
-//    so that hint is already final;
+//  * a covered point already strictly inside a live triangle the event
+//    did not touch is left alone — not stamped, walked, re-interpolated
+//    or re-folded: strict containment is unique and hint-independent, and
+//    that triangle's vertices and z did not change, so a fresh sweep
+//    gives it the same triangle and the same bits (the event stamps its
+//    triangle ids, and every triangle an event removes is dead or one of
+//    those ids);
+//  * every other covered point is re-derived through the raster's own
+//    rules — one strictly inside a created triangle takes it straight
+//    from the span being scanned (the fresh sweep's fast assignment), and
+//    every other dirty point replays locate_from with the exact hint the
+//    fresh sweep would carry (the previous point's assignment, -1 at a
+//    chunk head of detail::kChunkRows rows), visiting points in ascending
+//    order so that hint is already final;
 //  * non-strict (edge/vertex) points are re-walked on EVERY topology
 //    event, dirty region or not — their assignment is hint-dependent, so
 //    staleness is never allowed to accumulate through them; one outside
@@ -53,7 +59,9 @@ class IncrementalDelta {
   /// record and the ≥10× savings gate read these).
   struct Stats {
     std::size_t events = 0;              ///< Applied event reports.
-    std::size_t points_reevaluated = 0;  ///< Lattice cells re-assigned/-interpolated.
+    /// Lattice cells re-assigned/-interpolated (covered points left in an
+    /// untouched triangle are not counted).
+    std::size_t points_reevaluated = 0;
     std::size_t rows_touched = 0;        ///< Lattice rows containing such cells.
     std::size_t relocates = 0;           ///< Dirty points re-walked via locate_from.
     std::size_t rebuilds = 0;            ///< Full sweeps (construction).
@@ -100,9 +108,11 @@ class IncrementalDelta {
   void reraster(const geo::Delaunay& dt, const std::vector<int>& tris,
                 bool reassign);
   /// Stamps every lattice cell covered by `tris` (point, row, and the
-  /// row's column extent); returns rows touched.  With `reassign`, a
-  /// stamped point strictly inside one of `tris` takes that triangle and
-  /// its contribution here, straight from the span being scanned.
+  /// row's column extent); returns rows touched.  With `reassign`, the
+  /// ids in `tris` are stamped first, a covered point strictly inside a
+  /// live unstamped triangle is skipped, and a stamped point strictly
+  /// inside one of `tris` takes that triangle and its contribution here,
+  /// straight from the span being scanned.
   std::size_t mark_dirty(const geo::Delaunay& dt,
                          const std::vector<int>& tris, bool reassign);
   /// Visits the stamped points (merged with the uncovered non-strict
@@ -132,6 +142,8 @@ class IncrementalDelta {
   std::vector<std::uint32_t> row_epoch_;
   std::vector<int> row_lo_, row_hi_;  ///< Stamped column extent per row.
   std::vector<std::uint32_t> chunk_epoch_;
+  /// Triangle id -> epoch of the last reassigning event that listed it.
+  std::vector<std::uint32_t> tri_epoch_;
   std::uint32_t epoch_ = 0;
   std::vector<std::uint32_t> dirty_chunks_;
   std::vector<std::uint32_t> next_fallback_;

@@ -143,10 +143,17 @@ FraResult FraPlanner::plan_detailed(const field::Field& reference,
   std::vector<Candidate> candidates(n * n);
   const double dx = region.width() / static_cast<double>(n - 1);
   const double dy = region.height() / static_cast<double>(n - 1);
+  // The last column and row are the region border itself: x0 + (n−1)·dx
+  // can round a few ulps past x1 (11 · (100/11) = 100.00000000000001),
+  // which would put a node outside the region.
   std::vector<double> lattice_xs(n);
-  for (std::size_t i = 0; i < n; ++i) {
+  for (std::size_t i = 0; i + 1 < n; ++i) {
     lattice_xs[i] = region.x0 + static_cast<double>(i) * dx;
   }
+  lattice_xs[n - 1] = region.x1;
+  const auto lattice_y = [&](std::size_t j) {
+    return j + 1 < n ? region.y0 + static_cast<double>(j) * dy : region.y1;
+  };
   {
     CPS_TIMER("core.fra.sense_lattice");
     // Field implementations are const-thread-safe by contract (see
@@ -158,7 +165,7 @@ FraResult FraPlanner::plan_detailed(const field::Field& reference,
         [&](std::size_t row_begin, std::size_t row_end) {
           std::vector<double> row(n);
           for (std::size_t j = row_begin; j < row_end; ++j) {
-            const double y = region.y0 + static_cast<double>(j) * dy;
+            const double y = lattice_y(j);
             reference.value_row(y, lattice_xs, row.data());
             CPS_COUNT("core.fra.batch_rows", 1);
             for (std::size_t i = 0; i < n; ++i) {
@@ -186,35 +193,41 @@ FraResult FraPlanner::plan_detailed(const field::Field& reference,
 
   {
     CPS_TIMER("core.fra.initial_bucketing");
-    // Located in parallel over whole lattice rows: a row's first
-    // candidate sits on the region border, where exactly one triangle
-    // contains it, so a chunk's fresh (-1) walk start reaches the same
-    // triangle the serial hint chain would — parallel assignment is
-    // bit-identical to serial even for candidates exactly on shared
-    // edges (the seed diagonal).
-    par::parallel_for_chunks(
-        n,
-        [&](std::size_t row_begin, std::size_t row_end) {
-          int hint = -1;
-          for (std::size_t j = row_begin; j < row_end; ++j) {
-            for (std::size_t i = 0; i < n; ++i) {
-              auto& c = candidates[j * n + i];
-              c.triangle = dt.locate_from(c.pos, hint);
-              hint = c.triangle;
-              c.error =
-                  std::abs(c.f_value - interpolate_in(dt, c.triangle, c.pos));
-            }
-          }
-        },
-        /*grain=*/4);
+    // The seed mesh is Delaunay's two triangles split by the (c0, c2)
+    // diagonal: triangle 0 = (c0, c1, c2), triangle 1 = (c0, c2, c3).  A
+    // walk on the clamped point q crosses the diagonal by each triangle's
+    // own edge predicate — orient2d(c2, c0, q) in triangle 0,
+    // orient2d(c0, c2, q) in triangle 1 — and the border edges never
+    // reject a point of the region.  When the two certify opposite sides,
+    // every walk ends in the same triangle, whatever its start.  A point
+    // on the diagonal (by either predicate) keeps the walk, from the
+    // previous candidate's triangle as hint: its answer depends on it.
+    const geo::Vec2 c0 = dt.vertex(0).pos;
+    const geo::Vec2 c2 = dt.vertex(2).pos;
+    int hint = -1;
+    for (Candidate& c : candidates) {
+      const geo::Vec2 q{std::clamp(c.pos.x, region.x0, region.x1),
+                        std::clamp(c.pos.y, region.y0, region.y1)};
+      const int side0 = geo::orient2d(c2, c0, q);
+      const int side1 = geo::orient2d(c0, c2, q);
+      if (side0 > 0 && side1 < 0) {
+        c.triangle = 0;
+      } else if (side0 < 0 && side1 > 0) {
+        c.triangle = 1;
+      } else {
+        c.triangle = dt.locate_from(c.pos, hint);
+      }
+      hint = c.triangle;
+      c.error = std::abs(c.f_value - interpolate_in(dt, c.triangle, c.pos));
+    }
   }
   // Lattice corners coincide with scaffolding vertices: error 0, but mark
   // them used so kRandom never wastes a node on them.  The tolerance is
-  // relative to the lattice pitch — an absolute 1e-9 vanishes against
-  // large-coordinate regions (where x0 + (n-1) * dx lands ulps away from
-  // x1) and the duplicate corner then wastes a node.
+  // relative to the lattice pitch, so it holds at any coordinate scale;
+  // every other candidate is at least one pitch from every corner.
   const double corner_tol = 1e-6 * std::min(dx, dy);
-  for (std::size_t ci = 0; ci < candidates.size(); ++ci) {
+  for (const std::size_t ci :
+       {std::size_t{0}, n - 1, (n - 1) * n, n * n - 1}) {
     for (int v = 0; v < geo::Delaunay::kCorners; ++v) {
       if (geo::distance(candidates[ci].pos, dt.vertex(v).pos) < corner_tol) {
         candidates[ci].used = true;

@@ -6,21 +6,10 @@
 namespace cps::geo {
 namespace {
 
-// Static filter bounds from Shewchuk's "Adaptive Precision Floating-Point
-// Arithmetic and Fast Robust Geometric Predicates": (3 + 16e)e for
-// orient2d and (10 + 96e)e for incircle, where e is half the type's
-// epsilon (Shewchuk's machine epsilon convention).  Deriving them from
-// numeric_limits keeps the long-double retry correct on platforms where
-// long double is 80-bit x87, 128-bit quad, double-double — or plain
-// double (MSVC, some ARM ABIs), where a hardcoded 1e-19 would claim
-// precision the type does not have and turn near-degenerate cases into
-// wrong nonzero signs.
-template <typename F>
-constexpr F machine_eps = std::numeric_limits<F>::epsilon() / F(2);
+using detail::machine_eps;
 
-template <typename F>
-constexpr F orient_bound = (F(3) + F(16) * machine_eps<F>)*machine_eps<F>;
-
+// incircle's static filter bound, (10 + 96e)e (Shewchuk; orient2d's lives
+// with its filter in predicates.hpp).
 template <typename F>
 constexpr F incircle_bound =
     (F(10) + F(96) * machine_eps<F>)*machine_eps<F>;
@@ -30,16 +19,6 @@ constexpr F incircle_bound =
 constexpr bool kLongDoubleAddsPrecision =
     std::numeric_limits<long double>::digits >
     std::numeric_limits<double>::digits;
-
-template <typename F>
-int orient_impl(F ax, F ay, F bx, F by, F cx, F cy, F err_bound) noexcept {
-  const F detl = (bx - ax) * (cy - ay);
-  const F detr = (by - ay) * (cx - ax);
-  const F det = detl - detr;
-  const F detsum = std::abs(detl) + std::abs(detr);
-  if (std::abs(det) > err_bound * detsum) return det > 0 ? 1 : -1;
-  return 0;  // Ambiguous at this precision.
-}
 
 template <typename F>
 int incircle_impl(F ax, F ay, F bx, F by, F cx, F cy, F dx, F dy,
@@ -76,14 +55,12 @@ int incircle_impl(F ax, F ay, F bx, F by, F cx, F cy, F dx, F dy,
 }  // namespace
 
 int orient2d(Vec2 a, Vec2 b, Vec2 c) noexcept {
-  const int fast = orient_impl<double>(a.x, a.y, b.x, b.y, c.x, c.y,
-                                       orient_bound<double>);
+  const int fast = orient2d_filter(a, b, c);
   if (fast != 0) return fast;
   if (!kLongDoubleAddsPrecision) return 0;
   // Retry at extended precision; a result still inside the long-double error
   // bound is genuinely (or as good as) collinear.
-  return orient_impl<long double>(a.x, a.y, b.x, b.y, c.x, c.y,
-                                  orient_bound<long double>);
+  return detail::orient_filtered<long double>(a.x, a.y, b.x, b.y, c.x, c.y);
 }
 
 int incircle(Vec2 a, Vec2 b, Vec2 c, Vec2 d) noexcept {

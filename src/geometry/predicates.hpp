@@ -11,9 +11,50 @@
 // (the point is simply not pulled into the cavity).
 #pragma once
 
+#include <cmath>
+#include <limits>
+
 #include "geometry/vec2.hpp"
 
 namespace cps::geo {
+
+namespace detail {
+
+/// Half the type's epsilon (Shewchuk's machine epsilon convention).
+template <typename F>
+constexpr F machine_eps = std::numeric_limits<F>::epsilon() / F(2);
+
+/// Static filter bound of orient2d, (3 + 16e)e, from Shewchuk's "Adaptive
+/// Precision Floating-Point Arithmetic and Fast Robust Geometric
+/// Predicates".  Deriving it from numeric_limits keeps the long-double
+/// retry correct on platforms where long double is 80-bit x87, 128-bit
+/// quad, double-double — or plain double (MSVC, some ARM ABIs), where a
+/// hardcoded 1e-19 would claim precision the type does not have and turn
+/// near-degenerate cases into wrong nonzero signs.
+template <typename F>
+constexpr F orient_bound = (F(3) + F(16) * machine_eps<F>)*machine_eps<F>;
+
+/// One filtered orient2d stage at precision F: the determinant's sign when
+/// the static bound certifies it, 0 when it is ambiguous at F.
+template <typename F>
+inline int orient_filtered(F ax, F ay, F bx, F by, F cx, F cy) noexcept {
+  const F detl = (bx - ax) * (cy - ay);
+  const F detr = (by - ay) * (cx - ax);
+  const F det = detl - detr;
+  const F detsum = std::abs(detl) + std::abs(detr);
+  if (std::abs(det) > orient_bound<F> * detsum) return det > 0 ? 1 : -1;
+  return 0;
+}
+
+}  // namespace detail
+
+/// orient2d's first stage alone: +1 / -1 when the double-precision static
+/// filter certifies the sign, 0 when it cannot (orient2d then retries at
+/// long double).  A nonzero answer is exactly what orient2d returns, so
+/// hot loops can filter several edges before committing to any retry.
+inline int orient2d_filter(Vec2 a, Vec2 b, Vec2 c) noexcept {
+  return detail::orient_filtered<double>(a.x, a.y, b.x, b.y, c.x, c.y);
+}
 
 /// Sign of the signed area of triangle (a, b, c):
 /// +1 when counter-clockwise, -1 when clockwise, 0 when (near-)collinear.

@@ -127,9 +127,9 @@ void GreenOrbsField::do_value_row(double y, std::span<const double> xs,
   // point the accumulation still runs base + gap0 + gap1 + ... + noise in
   // that order, so every intermediate rounding matches do_value.  Each
   // gap's exponent arguments vectorize (distance_sq spelled out in its
-  // dx*dx + dy*dy order); std::exp and the fbm noise stay scalar — the
-  // vectorized libmvec variants are not bit-identical to scalar libm, and
-  // fbm branches per octave.
+  // dx*dx + dy*dy order); std::exp stays scalar — the vectorized libmvec
+  // variants are not bit-identical to scalar libm.  The noise comes from
+  // ValueNoise::fbm_row, whose per-point values are fbm's bits.
   const std::size_t n = xs.size();
   thread_local std::vector<double> light, arg;
   light.resize(n);
@@ -151,8 +151,10 @@ void GreenOrbsField::do_value_row(double y, std::span<const double> xs,
     CPS_SIMD
     for (std::size_t i = 0; i < n; ++i) light[i] += amplitude * arg[i];
   }
+  noise_.fbm_row(y, xs, 3, arg.data());  // The leaf texture, row at once.
+  CPS_SIMD
   for (std::size_t i = 0; i < n; ++i) {
-    light[i] += config_.noise_amplitude * noise_.fbm(xs[i], y, 3);
+    light[i] += config_.noise_amplitude * arg[i];
   }
   CPS_SIMD
   for (std::size_t i = 0; i < n; ++i) out[i] = std::max(0.0, env * light[i]);

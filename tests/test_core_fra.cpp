@@ -5,6 +5,7 @@
 
 #include <limits>
 #include <set>
+#include <string>
 
 #include "core/delta.hpp"
 #include "field/analytic_fields.hpp"
@@ -65,6 +66,31 @@ TEST(Fra, ProducesExactlyKDistinctPositionsInRegion) {
     unique.insert({p.x, p.y});
   }
   EXPECT_EQ(unique.size(), 40u);
+}
+
+TEST(Fra, LatticeSizesWhoseLastRowOvershootsStayInTheRegion) {
+  // On a 100 m side, x0 + (n - 1) · (100 / (n - 1)) rounds past 100 for
+  // these n; the planner must still place every node inside the region.
+  // kRandom over the whole lattice selects every border candidate.
+  for (const std::size_t n : {std::size_t{12}, std::size_t{23},
+                              std::size_t{40}, std::size_t{45},
+                              std::size_t{79}}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    const double pitch = kRegion.width() / static_cast<double>(n - 1);
+    ASSERT_GT(kRegion.x0 + static_cast<double>(n - 1) * pitch, kRegion.x1);
+    FraConfig cfg;
+    cfg.error_grid = n;
+    cfg.measure = SelectionMeasure::kRandom;
+    cfg.foresight = false;
+    const Deployment d =
+        FraPlanner(cfg).plan(test_field(), request(n * n - 4));
+    ASSERT_EQ(d.size(), n * n - 4);
+    std::size_t outside = 0;
+    for (const auto& p : d.positions) {
+      if (!kRegion.contains(p.x, p.y)) ++outside;
+    }
+    EXPECT_EQ(outside, 0u);
+  }
 }
 
 TEST(Fra, FirstSelectionIsGlobalMaxError) {

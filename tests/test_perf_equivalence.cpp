@@ -5,8 +5,9 @@
 //    the first maximum in lattice order, across every deterministic
 //    SelectionMeasure, both foresight modes, and k from 10 to 2000 —
 //    including unaffordable maxima (the filtered rescan), a 201 x 201
-//    lattice, lattice rows that overshoot the region border, and picks
-//    that re-insert an existing vertex;
+//    lattice, lattice sizes whose last row would overshoot the region
+//    border, seed-diagonal candidates, and picks that re-insert an
+//    existing vertex;
 //  * MessageBus delivery over core::ShardGrid's tile matching vs an
 //    all-pairs probe that calls transmit() on every ordered pair, for
 //    every link model, under position and liveness churn, at 1 and 4
@@ -85,9 +86,10 @@ core::FraResult brute_force_fra(const field::Field& f,
   const double dx = req.region.width() / static_cast<double>(n - 1);
   const double dy = req.region.height() / static_cast<double>(n - 1);
   std::vector<double> xs(n);
-  for (std::size_t i = 0; i < n; ++i) {
+  for (std::size_t i = 0; i + 1 < n; ++i) {
     xs[i] = req.region.x0 + static_cast<double>(i) * dx;
   }
+  xs[n - 1] = req.region.x1;  // The border itself, as the planner's.
   const bool curved = cfg.measure == SelectionMeasure::kCurvature ||
                       cfg.measure == SelectionMeasure::kProduct;
   const core::CurvatureEstimator estimator(cfg.curvature_radius);
@@ -95,7 +97,8 @@ core::FraResult brute_force_fra(const field::Field& f,
   std::vector<double> row(n);
   int hint = -1;
   for (std::size_t j = 0; j < n; ++j) {
-    const double y = req.region.y0 + static_cast<double>(j) * dy;
+    const double y =
+        j + 1 < n ? req.region.y0 + static_cast<double>(j) * dy : req.region.y1;
     f.value_row(y, xs, row.data());
     for (std::size_t i = 0; i < n; ++i) {
       Cand& c = cands[j * n + i];
@@ -307,9 +310,9 @@ TEST(FraSelectionEquivalence, MatchesBruteForceOnTheQueryServiceShape) {
 
 TEST(FraSelectionEquivalence, OvershootingBorderRowsStayAssigned) {
   // An offset origin and a 1000 m side: x0 + (n - 1) * dx lands past x1,
-  // and likewise in y, so the last lattice row and column lie a few ulps
-  // outside the region.  The border triangles still contain them within
-  // Triangle::kContainsTol, and the rebucket's spans must reach them.
+  // and likewise in y.  The planner puts its last lattice row and column
+  // on x1 and y1, a few ulps from the span lattice's y(n - 1), and the
+  // rebucket's spans must still reach them.
   const double x0 = 0.3;
   const double y0 = -250.0;
   const num::Rect region{x0, y0, x0 + 1000.0, y0 + 1000.0};
@@ -414,6 +417,47 @@ TEST(FraRebucket, SharedFanEdgeCandidatesTakeTheFirstContainingTriangle) {
   expect_identical(plan, brute_force_fra(cone, cfg, request));
 }
 
+TEST(FraSeedPass, DiagonalCandidatesKeepTheWalksTriangle) {
+  // A plane plus a bump whose peak, (45, 45), is a lattice point on the
+  // seed diagonal of a 21 x 21 lattice.  The first pick is that point,
+  // and its score is its error against the seed triangle it was bucketed
+  // in: both seed triangles contain it, but their interpolations of the
+  // plane differ in the last bit there, so the planner must take the
+  // triangle the reference's hint-chained walk takes.
+  const field::AnalyticField f([](double x, double y) {
+    return 3.0 + 0.013 * x + 0.017 * y +
+           2.0 * std::exp(-((x - 45.0) * (x - 45.0) +
+                            (y - 45.0) * (y - 45.0)) /
+                          32.0);
+  });
+  core::FraConfig cfg = fra_config(core::SelectionMeasure::kLocalError,
+                                   /*foresight=*/false);
+  cfg.error_grid = 21;  // Lattice pitch 5 m: (5i, 5j).
+  const core::PlanRequest request{kRegion, 6, kRc};
+
+  geo::Delaunay dt(kRegion);
+  for (int c = 0; c < geo::Delaunay::kCorners; ++c) {
+    dt.set_vertex_z(c, f.value(dt.vertex(c).pos));
+  }
+  const geo::Vec2 peak{45.0, 45.0};
+  double seed_z[2];
+  for (int tri = 0; tri < 2; ++tri) {
+    const auto& t = dt.triangle(tri);
+    ASSERT_TRUE(dt.triangle_geometry(tri).contains(peak));
+    seed_z[tri] = geo::interpolate_linear(
+        dt.triangle_geometry(tri), dt.vertex(t.v[0]).z, dt.vertex(t.v[1]).z,
+        dt.vertex(t.v[2]).z, peak);
+  }
+  ASSERT_NE(seed_z[0], seed_z[1]);
+
+  const auto planned = core::FraPlanner(cfg).plan_detailed(f, request);
+  const auto reference = brute_force_fra(f, cfg, request);
+  ASSERT_FALSE(planned.steps.empty());
+  EXPECT_EQ(planned.steps[0].position.x, peak.x);
+  EXPECT_EQ(planned.steps[0].position.y, peak.y);
+  expect_identical(planned, reference);
+}
+
 // --- FRA: kRandom golden (seed stability across the free-list rewrite) ---
 
 struct GoldenStep {
@@ -444,10 +488,12 @@ void expect_matches_golden(const core::FraResult& result,
 
 // Captured from the original implementation (rebuild-the-unused-pool every
 // iteration) at error_grid = 40, seed = 2026, k = 25: the incremental
-// free-list must reproduce this draw schedule exactly.
+// free-list must reproduce this draw schedule exactly.  The lattice's last
+// column is the region border x = 100 exactly (39 · (100/39) rounds to
+// 100.00000000000001), and the relays planned from those picks follow.
 TEST(FraRandomGolden, ForesightOnSequenceIsStable) {
   const std::vector<GoldenStep> golden = {
-      {100.00000000000001, 33.333333333333336, 0},
+      {100, 33.333333333333336, 0},
       {76.923076923076934, 94.871794871794876, 0},
       {0, 10.256410256410257, 0},
       {46.15384615384616, 23.07692307692308, 0},
@@ -455,9 +501,9 @@ TEST(FraRandomGolden, ForesightOnSequenceIsStable) {
       {51.282051282051285, 92.307692307692321, 0},
       {38.461538461538467, 23.07692307692308, 0},
       {53.846153846153854, 87.179487179487182, 0},
-      {91.025641025641036, 31.623931623931625, 1},
-      {82.051282051282072, 29.914529914529918, 1},
-      {73.076923076923094, 28.205128205128208, 1},
+      {91.025641025641022, 31.623931623931625, 1},
+      {82.051282051282058, 29.914529914529918, 1},
+      {73.07692307692308, 28.205128205128208, 1},
       {64.102564102564116, 26.495726495726501, 1},
       {55.128205128205131, 24.786324786324791, 1},
       {30.769230769230774, 20.512820512820515, 1},
@@ -465,8 +511,8 @@ TEST(FraRandomGolden, ForesightOnSequenceIsStable) {
       {15.384615384615387, 15.384615384615387, 1},
       {7.6923076923076934, 12.820512820512821, 1},
       {98.290598290598297, 43.162393162393165, 1},
-      {96.581196581196593, 52.991452991452995, 1},
-      {94.87179487179489, 62.820512820512832, 1},
+      {96.581196581196579, 52.991452991452995, 1},
+      {94.871794871794876, 62.820512820512832, 1},
       {93.162393162393172, 72.649572649572661, 1},
       {91.452991452991455, 82.478632478632491, 1},
       {83.333333333333343, 93.589743589743591, 1},
@@ -480,27 +526,27 @@ TEST(FraRandomGolden, ForesightOnSequenceIsStable) {
 
 TEST(FraRandomGolden, ForesightOffSequenceIsStable) {
   const std::vector<GoldenStep> golden = {
-      {100.00000000000001, 33.333333333333336, 0},
+      {100, 33.333333333333336, 0},
       {76.923076923076934, 94.871794871794876, 0},
       {0, 10.256410256410257, 0},
       {23.07692307692308, 56.410256410256416, 0},
       {79.487179487179489, 56.410256410256416, 0},
       {66.666666666666671, 61.538461538461547, 0},
-      {100.00000000000001, 84.615384615384627, 0},
+      {100, 84.615384615384627, 0},
       {53.846153846153854, 61.538461538461547, 0},
       {97.435897435897445, 10.256410256410257, 0},
       {84.615384615384627, 84.615384615384627, 0},
       {10.256410256410257, 0, 0},
       {10.256410256410257, 5.1282051282051286, 0},
       {7.6923076923076934, 76.923076923076934, 0},
-      {100.00000000000001, 17.948717948717949, 0},
+      {100, 17.948717948717949, 0},
       {48.717948717948723, 61.538461538461547, 0},
       {56.410256410256416, 61.538461538461547, 0},
       {7.6923076923076934, 58.974358974358978, 0},
       {43.589743589743591, 87.179487179487182, 0},
       {66.666666666666671, 71.794871794871796, 0},
       {71.794871794871796, 92.307692307692321, 0},
-      {100.00000000000001, 61.538461538461547, 0},
+      {100, 61.538461538461547, 0},
       {71.794871794871796, 87.179487179487182, 0},
       {2.5641025641025643, 5.1282051282051286, 0},
       {89.743589743589752, 41.025641025641029, 0},
