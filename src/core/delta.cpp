@@ -2,18 +2,15 @@
 
 #include "core/delta_detail.hpp"
 
-#include <algorithm>
 #include <atomic>
-#include <bit>
 #include <cmath>
 #include <cstdint>
-#include <limits>
 #include <list>
 #include <mutex>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
-#include "geometry/predicates.hpp"
 #include "obs/obs.hpp"
 #include "parallel/simd.hpp"
 #include "parallel/thread_pool.hpp"
@@ -21,12 +18,73 @@
 namespace cps::core {
 namespace {
 
-// RowSpan, TriangleSoA, strictly_inside, and the span-emission guard
-// formulas moved to core/delta_detail.hpp so the incremental engine shares
-// the raster's exact arithmetic (the bit-identity contract).
-using detail::RowSpan;
-using detail::TriangleSoA;
-using detail::strictly_inside;
+/// The reference sampled over `lat`, row-major.  Row-parallel, each row
+/// written by exactly one chunk, so the contents are thread-count
+/// independent.
+std::shared_ptr<std::vector<double>> sample_lattice(
+    const field::Field& reference, const num::MidpointLattice& lat) {
+  const std::size_t nx = lat.nx();
+  auto rows = std::make_shared<std::vector<double>>(nx * lat.ny());
+  par::parallel_for_chunks(
+      lat.ny(),
+      [&](std::size_t row_begin, std::size_t row_end) {
+        for (std::size_t j = row_begin; j < row_end; ++j) {
+          reference.value_row(lat.y(j), lat.xs(), rows->data() + j * nx);
+          CPS_COUNT("core.delta.batch_rows", 1);
+        }
+      },
+      detail::kChunkRows);
+  return rows;
+}
+
+/// Σ |ref − DT| over `lat` (before the cell area), `ref_lattice` holding
+/// the reference row-major.  One span plan, then per chunk of rows:
+/// phase 1 assigns each point to its triangle (detail::assign_row — the
+/// sweep the tracker's rebuild replays), phase 2 interpolates it, phase 3
+/// folds |ref − z|.
+double raster_sum(const geo::Delaunay& dt, const num::Rect& region,
+                  const num::MidpointLattice& lat, const double* ref_lattice) {
+  const std::size_t res = lat.nx();
+  const std::span<const double> xs = lat.xs();
+  const detail::SpanPlan plan(dt, detail::SpanLattice::midpoint(region, lat));
+  CPS_COUNT("core.delta.raster_spans", plan.spans);
+
+  return par::parallel_reduce(
+      res, 0.0,
+      [&](std::size_t row_begin, std::size_t row_end) {
+        double s = 0.0;
+        int hint = -1;
+        std::size_t fast = 0;
+        std::size_t fallback = 0;
+        std::vector<detail::RowSpan> active;
+        std::vector<std::uint32_t> slots(res);
+        std::vector<double> diffs(res);
+        for (std::size_t j = row_begin; j < row_end; ++j) {
+          const double y = lat.y(j);
+          const double* ref = ref_lattice + j * res;
+          detail::assign_row(
+              dt, plan, xs, j, y, hint, active,
+              [&](std::size_t i, std::uint32_t slot, int, bool strict) {
+                slots[i] = slot;
+                ++(strict ? fast : fallback);
+              });
+          // Phase 2 — interpolation, element-wise over the SoA mirror.
+          CPS_SIMD
+          for (std::size_t i = 0; i < res; ++i) {
+            diffs[i] = std::abs(
+                ref[i] -
+                detail::interpolate_point(plan.soa, slots[i], xs[i], y));
+          }
+          // Phase 3 — accumulation, kept serial in point order: the sum's
+          // rounding sequence is part of the bit-identity contract.
+          for (std::size_t i = 0; i < res; ++i) s += diffs[i];
+        }
+        CPS_COUNT("core.delta.raster_fast_assigns", fast);
+        CPS_COUNT("core.delta.raster_fallback_locates", fallback);
+        return s;
+      },
+      [](double a, double b) { return a + b; }, detail::kChunkRows);
+}
 
 }  // namespace
 
@@ -130,10 +188,6 @@ void DeltaMetric::set_reference_cache_shards(std::size_t shards) {
   cache_->capacity = capacity;
 }
 
-std::size_t DeltaMetric::reference_cache_shards() const noexcept {
-  return cache_->shards.size();
-}
-
 std::size_t DeltaMetric::reference_cache_size() const {
   std::size_t total = 0;
   for (const auto& shard : cache_->shards) {
@@ -167,19 +221,8 @@ DeltaMetric::cached_reference_lattice(const field::Field& reference,
     }
   }
   CPS_COUNT("core.delta.ref_cache_misses", 1);
-  // Fill outside the lock: row-parallel, each row written by exactly one
-  // chunk, so the buffer's contents are thread-count independent.
-  auto rows = std::make_shared<std::vector<double>>(resolution_ * resolution_);
-  par::parallel_for_chunks(
-      resolution_,
-      [&](std::size_t row_begin, std::size_t row_end) {
-        for (std::size_t j = row_begin; j < row_end; ++j) {
-          reference.value_row(lat.y(j), lat.xs(),
-                              rows->data() + j * resolution_);
-          CPS_COUNT("core.delta.batch_rows", 1);
-        }
-      },
-      detail::kChunkRows);
+  // Fill outside the lock.
+  auto rows = sample_lattice(reference, lat);
   const std::lock_guard<std::mutex> lock(shard.mutex);
   // A racing fill may have inserted the same key meanwhile; reuse it so
   // every caller shares one buffer.
@@ -197,10 +240,9 @@ DeltaMetric::cached_reference_lattice(const field::Field& reference,
 double DeltaMetric::delta(const field::Field& reference,
                           const geo::Delaunay& dt) const {
   const num::MidpointLattice lat(region_, resolution_, resolution_);
-  const auto cached = cached_reference_lattice(reference, lat);
+  const auto ref = reference_lattice(reference);
   const double value =
-      delta_raster(reference, dt, lat, cached ? cached->data() : nullptr) *
-      lat.hx() * lat.hy();
+      raster_sum(dt, region_, lat, ref->data()) * lat.hx() * lat.hy();
   // δ-evaluation boundary for the telemetry timeline: the figure drivers
   // sample δ sparsely (every few slots), so each evaluation gets its own
   // sample carrying the value; counters between two evaluations attribute
@@ -216,159 +258,13 @@ double DeltaMetric::delta(const field::Field& reference,
   return value;
 }
 
-double DeltaMetric::delta_raster(const field::Field& reference,
-                                 const geo::Delaunay& dt,
-                                 const num::MidpointLattice& lat,
-                                 const double* ref_lattice) const {
-  // Scan-convert every alive triangle into per-row candidate column spans
-  // once (O(triangles x covered rows) instead of resolution^2 walks), then
-  // sweep each row assigning strictly-interior points from the span
-  // candidates.  Points on an edge or vertex — where closed containment is
-  // ambiguous and locate_from's answer is hint-dependent — fall back to
-  // locate_from seeded with exactly the hint a per-point remembering walk
-  // would carry at that point (fast assignments equal the walk result, so
-  // the hint chain replays bit-for-bit), keeping assignments identical to
-  // locating every point with that walk.
-  const std::span<const double> xs = lat.xs();
-  const auto grid = detail::SpanLattice::midpoint(region_, lat);
-  const std::vector<int> alive = dt.alive_triangles();
-  TriangleSoA soa;
-  soa.build(dt, alive);
-  std::vector<std::vector<RowSpan>> row_spans(resolution_);
-  std::size_t spans_emitted = 0;
-  for (std::size_t slot = 0; slot < alive.size(); ++slot) {
-    const int tid = alive[slot];
-    detail::for_each_covered_range(
-        soa.a(static_cast<std::uint32_t>(slot)),
-        soa.b(static_cast<std::uint32_t>(slot)),
-        soa.c(static_cast<std::uint32_t>(slot)), grid,
-        [&](long j, long ilo, long ihi) {
-          row_spans[static_cast<std::size_t>(j)].push_back(
-              RowSpan{tid, static_cast<std::uint32_t>(slot),
-                      static_cast<int>(ilo), static_cast<int>(ihi)});
-          ++spans_emitted;
-        });
-  }
-  for (auto& spans : row_spans) {
-    std::sort(spans.begin(), spans.end(),
-              [](const RowSpan& l, const RowSpan& r) {
-                return l.ilo != r.ilo ? l.ilo < r.ilo : l.tri < r.tri;
-              });
-  }
-  CPS_COUNT("core.delta.raster_spans", spans_emitted);
-
-  return par::parallel_reduce(
-      resolution_, 0.0,
-      [&](std::size_t row_begin, std::size_t row_end) {
-        double s = 0.0;
-        int hint = -1;
-        std::size_t fast = 0;
-        std::size_t fallback = 0;
-        std::vector<double> row_buf;
-        if (ref_lattice == nullptr) row_buf.resize(resolution_);
-        std::vector<RowSpan> active;
-        std::vector<std::uint32_t> slots(resolution_);
-        std::vector<double> diffs(resolution_);
-        for (std::size_t j = row_begin; j < row_end; ++j) {
-          const double y = lat.y(j);
-          const double* ref;
-          if (ref_lattice != nullptr) {
-            ref = ref_lattice + j * resolution_;
-          } else {
-            reference.value_row(y, xs, row_buf.data());
-            CPS_COUNT("core.delta.batch_rows", 1);
-            ref = row_buf.data();
-          }
-          // Phase 1 — assignment: the span sweep decides each point's
-          // triangle (SoA slot), threading the same hint chain as before
-          // so fallback walks replay bit-for-bit.
-          const auto& spans = row_spans[j];
-          std::size_t next = 0;
-          active.clear();
-          for (std::size_t i = 0; i < resolution_; ++i) {
-            const int col = static_cast<int>(i);
-            while (next < spans.size() && spans[next].ilo <= col) {
-              active.push_back(spans[next++]);
-            }
-            const geo::Vec2 p{xs[i], y};
-            int assigned = -1;
-            std::uint32_t slot = 0;
-            for (std::size_t k = 0; k < active.size();) {
-              if (active[k].ihi < col) {
-                active[k] = active.back();
-                active.pop_back();
-                continue;
-              }
-              if (strictly_inside(soa, active[k].slot, p)) {
-                assigned = active[k].tri;
-                slot = active[k].slot;
-                break;
-              }
-              ++k;
-            }
-            if (assigned < 0) {
-              assigned = dt.locate_from(p, hint);
-              slot = soa.slot_of[static_cast<std::size_t>(assigned)];
-              ++fallback;
-            } else {
-              ++fast;
-            }
-            hint = assigned;
-            slots[i] = slot;
-          }
-          // Phase 2 — interpolation: interpolate_linear's exact
-          // expression (barycentric via orient2d_value over the hoisted
-          // denominator) gathered from the SoA mirror; element-wise, so
-          // it vectorizes.  The degenerate-denominator guard replays the
-          // scalar path's all-zero-weights result (never taken for a
-          // Delaunay triangulation, which stores no degenerate
-          // triangles).
-          CPS_SIMD
-          for (std::size_t i = 0; i < resolution_; ++i) {
-            const std::uint32_t t = slots[i];
-            const double px = xs[i];
-            const double total = soa.total[t];
-            const double w0 = ((soa.bx[t] - px) * (soa.cy[t] - y) -
-                               (soa.by[t] - y) * (soa.cx[t] - px)) /
-                              total;
-            const double w1 = ((px - soa.ax[t]) * (soa.cy[t] - soa.ay[t]) -
-                               (y - soa.ay[t]) * (soa.cx[t] - soa.ax[t])) /
-                              total;
-            const double w2 = 1.0 - w0 - w1;
-            const double z =
-                w0 * soa.za[t] + w1 * soa.zb[t] + w2 * soa.zc[t];
-            diffs[i] = std::abs(ref[i] - (total == 0.0 ? 0.0 : z));
-          }
-          // Phase 3 — accumulation, kept serial in point order: the sum's
-          // rounding sequence is part of the bit-identity contract.
-          for (std::size_t i = 0; i < resolution_; ++i) s += diffs[i];
-        }
-        CPS_COUNT("core.delta.raster_fast_assigns", fast);
-        CPS_COUNT("core.delta.raster_fallback_locates", fallback);
-        return s;
-      },
-      [](double a, double b) { return a + b; }, detail::kChunkRows);
-}
-
 std::shared_ptr<const std::vector<double>> DeltaMetric::reference_lattice(
     const field::Field& reference) const {
   const num::MidpointLattice lat(region_, resolution_, resolution_);
   if (auto cached = cached_reference_lattice(reference, lat)) return cached;
-  // Caching disabled: build a private buffer with the same row-batched
-  // sampling (same bits; the incremental engine needs the lattice either
-  // way, it just doesn't get shared).
-  auto rows = std::make_shared<std::vector<double>>(resolution_ * resolution_);
-  par::parallel_for_chunks(
-      resolution_,
-      [&](std::size_t row_begin, std::size_t row_end) {
-        for (std::size_t j = row_begin; j < row_end; ++j) {
-          reference.value_row(lat.y(j), lat.xs(),
-                              rows->data() + j * resolution_);
-          CPS_COUNT("core.delta.batch_rows", 1);
-        }
-      },
-      detail::kChunkRows);
-  return rows;
+  // Caching disabled: a private buffer with the same sampling (same bits,
+  // same batch_rows count), just not shared.
+  return sample_lattice(reference, lat);
 }
 
 double DeltaMetric::delta_from_samples(const field::Field& reference,

@@ -29,9 +29,11 @@ namespace cps::core {
 /// hint a per-point remembering walk would carry at that point.  A
 /// strictly interior point has a unique containing triangle, so the sum
 /// is bit-identical to locating every point with that walk — the
-/// reference tests/test_delta_equivalence.cpp compares against.  Holding
-/// an IncrementalDelta (delta_incremental.hpp) across triangulation
-/// events gives the same bits at O(changed area) per event.
+/// reference tests/test_delta_equivalence.cpp compares against.  The
+/// sweep itself lives once in core/delta_detail.hpp; delta() folds it
+/// against reference_lattice(), and IncrementalDelta's rebuild records
+/// it.  Holding an IncrementalDelta (delta_incremental.hpp) across
+/// triangulation events gives the same bits at O(changed area) per event.
 class DeltaMetric {
  public:
   /// Reference-lattice LRU entries held by default; one entry is
@@ -80,7 +82,6 @@ class DeltaMetric {
   /// Clears the cache; configure before sharing the metric across
   /// threads (not safe against concurrent lookups).  Throws on 0.
   void set_reference_cache_shards(std::size_t shards);
-  std::size_t reference_cache_shards() const noexcept;
 
   /// Volume between the referential field and a rebuilt surface.
   double delta(const field::Field& reference, const geo::Delaunay& dt) const;
@@ -88,8 +89,8 @@ class DeltaMetric {
   /// The reference field sampled over this metric's midpoint lattice
   /// (row-major, resolution² doubles) — served from the reference cache
   /// when enabled, built fresh otherwise; the same bits value_row
-  /// produces either way.  The incremental engine keeps one of these
-  /// pinned for its running |f - DT| folds.
+  /// produces either way.  delta() takes its rows from here, and the
+  /// incremental engine keeps one pinned for its running |f - DT| folds.
   std::shared_ptr<const std::vector<double>> reference_lattice(
       const field::Field& reference) const;
 
@@ -121,12 +122,9 @@ class DeltaMetric {
  private:
   struct RefCache;
 
-  double delta_raster(const field::Field& reference, const geo::Delaunay& dt,
-                      const num::MidpointLattice& lat,
-                      const double* ref_lattice) const;
-  /// Cache lookup/fill; returns null when caching is off (the caller then
-  /// samples the reference row by row).  The returned buffer is pinned by
-  /// the shared_ptr against concurrent LRU eviction.
+  /// Cache lookup/fill; returns null when caching is off (reference_lattice
+  /// then samples a private buffer).  The returned buffer is pinned by the
+  /// shared_ptr against concurrent LRU eviction.
   std::shared_ptr<const std::vector<double>> cached_reference_lattice(
       const field::Field& reference, const num::MidpointLattice& lat) const;
 

@@ -1,16 +1,20 @@
-// Shared scan-conversion machinery of the raster δ sweep (core/delta.cpp)
-// and its cavity-local tracker (core/delta_incremental.cpp); FRA's
-// rebucket (core/fra.cpp) shares the span emitter.
+// Shared scan-conversion machinery of the δ raster sweep.  The sweep is
+// written once, here: SpanPlan (alive triangles -> TriangleSoA -> sorted
+// RowSpans), assign_row (phase 1: strict span assignment, hint-chained
+// fallback walks) and interpolate_point (phase 2).  It has two callers,
+// DeltaMetric::delta (core/delta.cpp), which folds |ref − z| per chunk,
+// and IncrementalDelta's rebuild (core/delta_incremental.cpp), which
+// records the per-point state its events update.  The tracker's events
+// and FRA's rebucket (core/fra.cpp) share the span emitter.
 //
-// Both must assign lattice points to triangles — and interpolate them —
-// through the *same* arithmetic, or their sums drift by a bit and the
-// oracle protocol (incremental ≡ fresh raster ≡ per-point walk, bitwise)
-// collapses.  Everything here is therefore exactly the code the
-// raster engine ran before the split: the SoA mirror copies coordinates
-// verbatim, the guard-range formulas keep their float expressions
-// unreordered, and the interpolation helper replays interpolate_linear's
-// barycentric expression term for term.  Edit with a bit-identity test in
-// hand (tests/test_delta_incremental.cpp).
+// Every path must assign lattice points to triangles — and interpolate
+// them — through the *same* arithmetic, or their sums drift by a bit and
+// the oracle protocol (incremental ≡ fresh raster ≡ per-point walk,
+// bitwise) collapses: the SoA mirror copies coordinates verbatim, the
+// guard-range formulas keep their float expressions unreordered, and the
+// interpolation helper replays interpolate_linear's barycentric
+// expression term for term.  Edit with a bit-identity test in hand
+// (tests/test_delta_incremental.cpp, tests/test_delta_equivalence.cpp).
 #pragma once
 
 #include <algorithm>
@@ -18,6 +22,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -28,10 +33,10 @@
 namespace cps::core::detail {
 
 /// Lattice rows per reduction chunk.  The raster sweep folds each chunk
-/// serially in point order (the locate hint restarts at every chunk head)
-/// and combines chunk partials in ascending order, at every pool size;
-/// the tracker and the test-side walk reference replay that layout to
-/// reproduce the sweep's bits.
+/// serially in point order (assign_row restarts the locate hint at every
+/// chunk head) and combines chunk partials in ascending order, at every
+/// pool size; the tracker and the test-side walk reference replay that
+/// layout to reproduce the sweep's bits.
 inline constexpr std::size_t kChunkRows = 4;
 
 /// One triangle's column interval on one lattice row (inclusive, with a
@@ -145,6 +150,14 @@ inline double interpolate_point(double ax, double ay, double bx, double by,
   const double w2 = 1.0 - w0 - w1;
   const double z = w0 * za + w1 * zb + w2 * zc;
   return total == 0.0 ? 0.0 : z;
+}
+
+/// interpolate_point at SoA slot s (both sweeps' phase 2).
+inline double interpolate_point(const TriangleSoA& soa, std::uint32_t s,
+                                double px, double py) {
+  return interpolate_point(soa.ax[s], soa.ay[s], soa.bx[s], soa.by[s],
+                           soa.cx[s], soa.cy[s], soa.za[s], soa.zb[s],
+                           soa.zc[s], soa.total[s], px, py);
 }
 
 /// interpolate_point fed from the triangulation's records (verbatim the
@@ -286,6 +299,89 @@ void for_each_covered_range(geo::Vec2 a, geo::Vec2 b, geo::Vec2 c,
             1);
     if (ilo > ihi) continue;
     sink(j, ilo, ihi);
+  }
+}
+
+/// The span plan of one δ sweep over the midpoint lattice `lat`: the
+/// alive triangles mirrored into a TriangleSoA, each scan-converted into
+/// RowSpans, every row sorted by (ilo, tri) — the order in which
+/// assign_row tries its candidates.  Built once per sweep.
+struct SpanPlan {
+  TriangleSoA soa;
+  std::vector<std::vector<RowSpan>> rows;  ///< Per lattice row.
+  std::size_t spans = 0;                   ///< RowSpans emitted.
+
+  SpanPlan(const geo::Delaunay& dt, const SpanLattice& lat)
+      : rows(static_cast<std::size_t>(lat.ny)) {
+    const std::vector<int> alive = dt.alive_triangles();
+    soa.build(dt, alive);
+    for (std::size_t slot = 0; slot < alive.size(); ++slot) {
+      const auto s = static_cast<std::uint32_t>(slot);
+      const int tid = alive[slot];
+      for_each_covered_range(
+          soa.a(s), soa.b(s), soa.c(s), lat, [&](long j, long ilo, long ihi) {
+            rows[static_cast<std::size_t>(j)].push_back(
+                RowSpan{tid, s, static_cast<int>(ilo), static_cast<int>(ihi)});
+            ++spans;
+          });
+    }
+    for (auto& spans_of_row : rows) {
+      std::sort(spans_of_row.begin(), spans_of_row.end(),
+                [](const RowSpan& l, const RowSpan& r) {
+                  return l.ilo != r.ilo ? l.ilo < r.ilo : l.tri < r.tri;
+                });
+    }
+  }
+};
+
+/// Phase 1 of the δ sweep on lattice row j (ordinate y, abscissae xs):
+/// assigns every point to a triangle and calls
+/// sink(i, slot, tri, strict) for it in column order.  A point strictly
+/// inside one of the row's active spans takes that triangle (strict
+/// containment is unique, so any candidate order gives the same answer);
+/// any other point — on an edge or vertex, where closed containment is
+/// ambiguous — falls back to dt.locate_from seeded with `hint`, exactly
+/// the hint a per-point remembering walk carries there.  `hint` chains
+/// through every assignment and restarts at −1 at each chunk head
+/// (j % kChunkRows == 0), so a caller visiting a chunk's rows in order
+/// replays the walk bit for bit whatever it carried in.  `active` is
+/// caller-owned scratch.
+template <typename Sink>
+void assign_row(const geo::Delaunay& dt, const SpanPlan& plan,
+                std::span<const double> xs, std::size_t j, double y,
+                int& hint, std::vector<RowSpan>& active, Sink&& sink) {
+  if (j % kChunkRows == 0) hint = -1;
+  const std::vector<RowSpan>& spans = plan.rows[j];
+  std::size_t next = 0;
+  active.clear();
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    const int col = static_cast<int>(i);
+    while (next < spans.size() && spans[next].ilo <= col) {
+      active.push_back(spans[next++]);
+    }
+    const geo::Vec2 p{xs[i], y};
+    int assigned = -1;
+    std::uint32_t slot = 0;
+    for (std::size_t k = 0; k < active.size();) {
+      if (active[k].ihi < col) {
+        active[k] = active.back();
+        active.pop_back();
+        continue;
+      }
+      if (strictly_inside(plan.soa, active[k].slot, p)) {
+        assigned = active[k].tri;
+        slot = active[k].slot;
+        break;
+      }
+      ++k;
+    }
+    const bool strict = assigned >= 0;
+    if (!strict) {
+      assigned = dt.locate_from(p, hint);
+      slot = plan.soa.slot_of[static_cast<std::size_t>(assigned)];
+    }
+    hint = assigned;
+    sink(i, slot, assigned, strict);
   }
 }
 

@@ -61,86 +61,26 @@ void IncrementalDelta::rebuild(const geo::Delaunay& dt) {
   tri_epoch_.assign(dt.triangle_slots(), 0);
   epoch_ = 0;
 
-  // Full sweep, replaying delta_raster exactly: span emission, per-row
-  // (ilo, tri) span order, strict fast assignment, hint-chained fallback
-  // walks, phase-2 interpolation — but recording per-point state instead
-  // of folding it away.
-  const auto grid = detail::SpanLattice::midpoint(region_, lat_);
-  const std::vector<int> alive = dt.alive_triangles();
-  detail::TriangleSoA soa;
-  soa.build(dt, alive);
-  std::vector<std::vector<detail::RowSpan>> row_spans(res_);
-  for (std::size_t slot = 0; slot < alive.size(); ++slot) {
-    const int tid = alive[slot];
-    detail::for_each_covered_range(
-        soa.a(static_cast<std::uint32_t>(slot)),
-        soa.b(static_cast<std::uint32_t>(slot)),
-        soa.c(static_cast<std::uint32_t>(slot)), grid,
-        [&](long j, long ilo, long ihi) {
-          row_spans[static_cast<std::size_t>(j)].push_back(
-              detail::RowSpan{tid, static_cast<std::uint32_t>(slot),
-                              static_cast<int>(ilo), static_cast<int>(ihi)});
+  // The fresh sweep (detail::assign_row over one span plan, the chunks'
+  // rows in order), recording per-point state instead of folding it away.
+  const detail::SpanPlan plan(dt, detail::SpanLattice::midpoint(region_, lat_));
+  const std::span<const double> xs = lat_.xs();
+  int hint = -1;
+  std::vector<detail::RowSpan> active;
+  for (std::size_t j = 0; j < res_; ++j) {
+    const double y = lat_.y(j);
+    const std::size_t base = j * res_;
+    detail::assign_row(
+        dt, plan, xs, j, y, hint, active,
+        [&](std::size_t i, std::uint32_t slot, int tri, bool strict) {
+          const std::size_t k = base + i;
+          assign_[k] = tri;
+          strict_[k] = strict ? 1 : 0;
+          if (!strict) fallback_.push_back(static_cast<std::uint32_t>(k));
+          interp_[k] = detail::interpolate_point(plan.soa, slot, xs[i], y);
         });
   }
-  for (auto& spans : row_spans) {
-    std::sort(spans.begin(), spans.end(),
-              [](const detail::RowSpan& l, const detail::RowSpan& r) {
-                return l.ilo != r.ilo ? l.ilo < r.ilo : l.tri < r.tri;
-              });
-  }
-
-  const std::span<const double> xs = lat_.xs();
-  std::vector<detail::RowSpan> active;
-  for (std::size_t row_begin = 0; row_begin < res_;
-       row_begin += detail::kChunkRows) {
-    const std::size_t row_end =
-        std::min(row_begin + detail::kChunkRows, res_);
-    int hint = -1;
-    for (std::size_t j = row_begin; j < row_end; ++j) {
-      const double y = lat_.y(j);
-      const auto& spans = row_spans[j];
-      std::size_t next = 0;
-      active.clear();
-      for (std::size_t i = 0; i < res_; ++i) {
-        const std::size_t k = j * res_ + i;
-        const int col = static_cast<int>(i);
-        while (next < spans.size() && spans[next].ilo <= col) {
-          active.push_back(spans[next++]);
-        }
-        const geo::Vec2 p{xs[i], y};
-        int assigned = -1;
-        std::uint32_t slot = 0;
-        for (std::size_t w = 0; w < active.size();) {
-          if (active[w].ihi < col) {
-            active[w] = active.back();
-            active.pop_back();
-            continue;
-          }
-          if (detail::strictly_inside(soa, active[w].slot, p)) {
-            assigned = active[w].tri;
-            slot = active[w].slot;
-            break;
-          }
-          ++w;
-        }
-        if (assigned < 0) {
-          assigned = dt.locate_from(p, hint);
-          slot = soa.slot_of[static_cast<std::size_t>(assigned)];
-          strict_[k] = 0;
-          fallback_.push_back(static_cast<std::uint32_t>(k));
-        } else {
-          strict_[k] = 1;
-        }
-        hint = assigned;
-        assign_[k] = assigned;
-        interp_[k] = detail::interpolate_point(
-            soa.ax[slot], soa.ay[slot], soa.bx[slot], soa.by[slot],
-            soa.cx[slot], soa.cy[slot], soa.za[slot], soa.zb[slot],
-            soa.zc[slot], soa.total[slot], p.x, y);
-      }
-    }
-    refold_chunk(row_begin / detail::kChunkRows);
-  }
+  for (std::size_t c = 0; c < chunks; ++c) refold_chunk(c);
   ++stats_.rebuilds;
   CPS_COUNT("core.delta.inc_rebuilds", 1);
 }
@@ -183,22 +123,17 @@ std::size_t IncrementalDelta::mark_dirty(const geo::Delaunay& dt,
     detail::for_each_covered_range(
         a, b, c, grid, [&](long j, long ilo, long ihi) {
           const auto row = static_cast<std::size_t>(j);
-          if (row_epoch_[row] != epoch_) {
-            row_epoch_[row] = epoch_;
-            row_lo_[row] = static_cast<int>(ilo);
-            row_hi_[row] = static_cast<int>(ihi);
-            ++rows;
-          } else {
-            row_lo_[row] = std::min(row_lo_[row], static_cast<int>(ilo));
-            row_hi_[row] = std::max(row_hi_[row], static_cast<int>(ihi));
-          }
           const double y = lat_.y(row);
           const std::size_t base = row * res_;
+          long lo = -1;  // First and last column this span stamps.
+          long hi = -1;
           for (long i = ilo; i <= ihi; ++i) {
             const std::size_t k = base + static_cast<std::size_t>(i);
             if (point_epoch_[k] != epoch_) {
               if (reassign && untouched(k)) continue;
               point_epoch_[k] = epoch_;
+              if (lo < 0) lo = i;
+              hi = i;
               // Unresolved until a created triangle strictly contains it;
               // assign_ keeps the old triangle for the walk's comparison.
               if (reassign) strict_[k] = 0;
@@ -213,6 +148,17 @@ std::size_t IncrementalDelta::mark_dirty(const geo::Delaunay& dt,
               interp_[k] = detail::interpolate_point(
                   a.x, a.y, b.x, b.y, c.x, c.y, va.z, vb.z, vc.z, total, x, y);
             }
+          }
+          // The row's extent spans the points it stamps, nothing more.
+          if (lo < 0) return;
+          if (row_epoch_[row] != epoch_) {
+            row_epoch_[row] = epoch_;
+            row_lo_[row] = static_cast<int>(lo);
+            row_hi_[row] = static_cast<int>(hi);
+            ++rows;
+          } else {
+            row_lo_[row] = std::min(row_lo_[row], static_cast<int>(lo));
+            row_hi_[row] = std::max(row_hi_[row], static_cast<int>(hi));
           }
         });
   }

@@ -7,7 +7,9 @@
 // assignment, strictness, |f - DT| contribution) plus per-chunk partial
 // sums, consumes each insert/remove/move report, and re-evaluates only
 // the lattice cells the report's triangles cover: O(changed area) per
-// event instead of O(res²).
+// event instead of O(res²).  That sweep is DeltaMetric::delta's own: the
+// rebuild calls core/delta_detail.hpp's span plan, row assignment and
+// interpolation, and records what delta() folds away.
 //
 // Oracle protocol (DESIGN.md §13): after every applied event, value() is
 // bit-identical to a fresh DeltaMetric::delta() of the same triangulation
@@ -62,7 +64,7 @@ class IncrementalDelta {
     /// Lattice cells re-assigned/-interpolated (covered points left in an
     /// untouched triangle are not counted).
     std::size_t points_reevaluated = 0;
-    std::size_t rows_touched = 0;        ///< Lattice rows containing such cells.
+    std::size_t rows_touched = 0;        ///< Lattice rows with a stamped cell.
     std::size_t relocates = 0;           ///< Dirty points re-walked via locate_from.
     std::size_t rebuilds = 0;            ///< Full sweeps (construction).
     /// Lattice points one full sweep evaluates (res²): events *
@@ -108,9 +110,10 @@ class IncrementalDelta {
   void reraster(const geo::Delaunay& dt, const std::vector<int>& tris,
                 bool reassign);
   /// Stamps every lattice cell covered by `tris` (point, row, and the
-  /// row's column extent); returns rows touched.  With `reassign`, the
-  /// ids in `tris` are stamped first, a covered point strictly inside a
-  /// live unstamped triangle is skipped, and a stamped point strictly
+  /// row's column extent, which spans the stamped points only); returns
+  /// rows stamped.  With `reassign`, the ids in `tris` are stamped first,
+  /// a covered point strictly inside a live unstamped triangle is skipped
+  /// (it stamps neither itself nor its row), and a stamped point strictly
   /// inside one of `tris` takes that triangle and its contribution here,
   /// straight from the span being scanned.
   std::size_t mark_dirty(const geo::Delaunay& dt,

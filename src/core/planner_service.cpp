@@ -7,7 +7,6 @@
 #include <condition_variable>
 #include <deque>
 #include <exception>
-#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -29,6 +28,12 @@ namespace cps::core {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+/// Reference-cache shards on the service's shared DeltaMetrics
+/// (DeltaMetric::set_reference_cache_shards).
+constexpr std::size_t kCacheShards = 8;
+/// Cached WhatIf base states kept (FIFO eviction).
+constexpr std::size_t kBaseStateCapacity = 8;
 
 double ms_between(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<double, std::milli>(b - a).count();
@@ -94,10 +99,6 @@ struct PlannerService::Impl {
 
   explicit Impl(const Config& config) : config(config) {
     if (this->config.max_batch == 0) this->config.max_batch = 1;
-    if (this->config.cache_shards == 0) this->config.cache_shards = 1;
-    if (this->config.base_state_capacity == 0) {
-      this->config.base_state_capacity = 1;
-    }
     // Queue occupancy is timing-dependent; keep it out of the timeline's
     // bit-identical JSONL no matter when a consumer arms it.
     obs::registry().exclude_from_timeline("service.queue.depth");
@@ -288,7 +289,7 @@ struct PlannerService::Impl {
     std::unique_ptr<DeltaMetric>& slot = metrics[key];
     if (slot == nullptr) {
       slot = std::make_unique<DeltaMetric>(region, resolution);
-      slot->set_reference_cache_shards(config.cache_shards);
+      slot->set_reference_cache_shards(kCacheShards);
     }
     return *slot;  // Map nodes are stable; the metric itself never moves.
   }
@@ -303,7 +304,7 @@ struct PlannerService::Impl {
         entry = std::make_shared<BaseEntry>();
         base_entries.emplace(key, entry);
         base_order.push_back(key);
-        while (base_order.size() > config.base_state_capacity) {
+        while (base_order.size() > kBaseStateCapacity) {
           base_entries.erase(base_order.front());
           base_order.pop_front();
         }
@@ -323,36 +324,13 @@ struct PlannerService::Impl {
     return entry->state;
   }
 
-  /// Replicates reconstruct_surface (core/reconstruction.cpp) — same
-  /// insertion order, same corner valuation, therefore the same bits —
-  /// while recording each node's vertex id for the mutation ops.
   std::shared_ptr<const BaseState> build_base_state(const WhatIfJob& job) {
     const field::Field& reference = job.field->field();
     const std::vector<Sample> samples =
         take_samples(reference, job.base->positions);
-    geo::Delaunay dt(job.region);
     std::vector<int> vertex_of_node;
-    vertex_of_node.reserve(samples.size());
-    for (const auto& s : samples) {
-      vertex_of_node.push_back(dt.insert(s.position, s.z).vertex);
-    }
-    for (int corner = 0; corner < geo::Delaunay::kCorners; ++corner) {
-      const geo::Vec2 cp = dt.vertex(corner).pos;
-      if (job.policy == CornerPolicy::kFieldValue) {
-        dt.set_vertex_z(corner, reference.value(cp));
-        continue;
-      }
-      double best = std::numeric_limits<double>::infinity();
-      double z = 0.0;
-      for (const auto& s : samples) {
-        const double d2 = geo::distance_sq(cp, s.position);
-        if (d2 <= best) {
-          best = d2;
-          z = s.z;
-        }
-      }
-      dt.set_vertex_z(corner, z);
-    }
+    geo::Delaunay dt = reconstruct_surface(samples, job.region, job.policy,
+                                           &reference, &vertex_of_node);
     IncrementalDelta inc(metric_for(job.region, job.resolution), reference,
                          dt);
     return std::make_shared<const BaseState>(BaseState{

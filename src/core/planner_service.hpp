@@ -119,11 +119,6 @@ class PlannerService {
     /// Jobs drained per dispatch round; each round is one parallel
     /// region over its jobs.
     std::size_t max_batch = 64;
-    /// Reference-cache shards on the service's shared DeltaMetrics
-    /// (DeltaMetric::set_reference_cache_shards).
-    std::size_t cache_shards = 8;
-    /// Cached WhatIf base states kept (FIFO eviction).
-    std::size_t base_state_capacity = 8;
   };
 
   /// Lifetime totals (plain counts, independent of the obs build flags —

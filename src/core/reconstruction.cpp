@@ -8,13 +8,18 @@ namespace cps::core {
 geo::Delaunay reconstruct_surface(std::span<const Sample> samples,
                                   const num::Rect& region,
                                   CornerPolicy policy,
-                                  const field::Field* reference) {
+                                  const field::Field* reference,
+                                  std::vector<int>* vertex_of_sample) {
   if (policy == CornerPolicy::kFieldValue && reference == nullptr) {
     throw std::invalid_argument(
         "reconstruct_surface: kFieldValue needs a reference field");
   }
   geo::Delaunay dt(region);
-  for (const auto& s : samples) dt.insert(s.position, s.z);
+  if (vertex_of_sample != nullptr) vertex_of_sample->clear();
+  for (const auto& s : samples) {
+    const int v = dt.insert(s.position, s.z).vertex;
+    if (vertex_of_sample != nullptr) vertex_of_sample->push_back(v);
+  }
 
   for (int corner = 0; corner < geo::Delaunay::kCorners; ++corner) {
     const geo::Vec2 cp = dt.vertex(corner).pos;

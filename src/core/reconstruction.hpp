@@ -8,6 +8,7 @@
 #pragma once
 
 #include <span>
+#include <vector>
 
 #include "core/types.hpp"
 #include "field/field.hpp"
@@ -29,12 +30,16 @@ enum class CornerPolicy {
 /// Builds the rebuilt surface DT from samples.  With kFieldValue,
 /// `reference` must be non-null (std::invalid_argument otherwise); samples
 /// may be empty (the surface is then flat at the corner values, or 0 when
-/// there are no samples under kNearestSample).
+/// there are no samples under kNearestSample).  When `vertex_of_sample` is
+/// non-null it receives, for each sample in order, the id of the vertex
+/// that carries it (a duplicate position reports the vertex it merged
+/// into).
 geo::Delaunay reconstruct_surface(std::span<const Sample> samples,
                                   const num::Rect& region,
                                   CornerPolicy policy =
                                       CornerPolicy::kNearestSample,
-                                  const field::Field* reference = nullptr);
+                                  const field::Field* reference = nullptr,
+                                  std::vector<int>* vertex_of_sample = nullptr);
 
 /// Samples `f` at the deployment's positions (the act of sensing).
 std::vector<Sample> take_samples(const field::Field& f,

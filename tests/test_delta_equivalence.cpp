@@ -8,18 +8,21 @@
 //    (tests/oracles.hpp), across corner policies, degenerate sample sets
 //    (collinear, duplicates), and 1 / 4 worker threads;
 //  * the content-keyed reference-lattice cache (on by default): cached
-//    sweeps must reproduce the uncached bits exactly, copies must not
+//    sweeps (the metric's and a fresh tracker's) must reproduce the
+//    uncached bits exactly at 1 and 4 threads, copies must not
 //    share entries, keys must track parameters / slice time / mutation,
 //    and a recycled allocation must never resurrect a dead entry.
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "core/delta.hpp"
+#include "core/delta_incremental.hpp"
 #include "core/planner.hpp"
 #include "core/reconstruction.hpp"
 #include "field/analytic_fields.hpp"
@@ -226,15 +229,34 @@ TEST(ReferenceCache, CachedSweepReproducesUncachedBits) {
   core::DeltaMetric cached(kRegion, 50);
   cached.set_reference_cache_capacity(4);
   EXPECT_EQ(cached.reference_cache_size(), 0u);
-  for (std::size_t i = 0; i < deployments.size(); ++i) {
-    SCOPED_TRACE("deployment " + std::to_string(i));
-    const double want = plain.delta_of_deployment(
-        frame, deployments[i], core::CornerPolicy::kFieldValue);
-    const double got = cached.delta_of_deployment(
-        frame, deployments[i], core::CornerPolicy::kFieldValue);
-    EXPECT_EQ(want, got);
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    par::set_thread_count(threads);
+    for (std::size_t i = 0; i < deployments.size(); ++i) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) + " deployment " +
+                   std::to_string(i));
+      const double want = plain.delta_of_deployment(
+          frame, deployments[i], core::CornerPolicy::kFieldValue);
+      const double got = cached.delta_of_deployment(
+          frame, deployments[i], core::CornerPolicy::kFieldValue);
+      EXPECT_EQ(want, got);
+      // A fresh tracker runs the same sweep over the same lattice, on
+      // either metric.
+      const geo::Delaunay dt = core::reconstruct_surface(
+          core::take_samples(frame, deployments[i]), kRegion,
+          core::CornerPolicy::kFieldValue, &frame);
+      EXPECT_EQ(core::IncrementalDelta(plain, frame, dt).value(), want);
+      EXPECT_EQ(core::IncrementalDelta(cached, frame, dt).value(), want);
+    }
+    // The capacity-0 lattice is the cached one, bit for bit.
+    const auto plain_rows = plain.reference_lattice(frame);
+    const auto cached_rows = cached.reference_lattice(frame);
+    ASSERT_EQ(plain_rows->size(), cached_rows->size());
+    EXPECT_EQ(std::memcmp(plain_rows->data(), cached_rows->data(),
+                          plain_rows->size() * sizeof(double)),
+              0);
   }
-  // One frame evaluated four times: a single cache entry.
+  par::set_thread_count(1);
+  // One frame evaluated sixteen times: a single cache entry.
   EXPECT_EQ(cached.reference_cache_size(), 1u);
 
   // Fresh slice temporaries of the same frame must hit the same entry

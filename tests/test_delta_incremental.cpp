@@ -12,7 +12,9 @@
 //    a valid Delaunay triangulation;
 //  * a tracker that outlives a mid-stream thread-count change;
 //  * a tracker built from scratch on a reconstruction, across both
-//    corner policies;
+//    corner policies, and on edges through every chunk head's first
+//    lattice point (the rebuild restarts its walk there, as the sweep
+//    does);
 //  * CmaDeltaTracker: per-slot δ bit-identical to the end-to-end
 //    current_delta pipeline and to the walk reference of its own surface,
 //    whose vertices must be exactly the living nodes sensing the field,
@@ -266,6 +268,44 @@ TEST(IncrementalDelta, FreshTrackerMatchesRasterAcrossPolicies) {
     const geo::Delaunay dt = reconstruct_surface(samples, kRegion, policy, &f);
     EXPECT_EQ(IncrementalDelta(raster, f, dt).value(),
               raster.delta_from_samples(f, samples, policy));
+  }
+}
+
+TEST(IncrementalDelta, FreshTrackerRestartsTheWalkAtEachChunkHead) {
+  // Resolution 50 on the 100 m square: lattice column 0 is x = 1 and the
+  // chunk-head rows (j % 4 == 0) sit at y = 1, 9, 17, ….  A chain of
+  // vertices on x = 1 at random y puts every column-0 point on an edge
+  // shared by a triangle on each side, at a non-dyadic fraction of it, so
+  // the two sides interpolate the plane to different low bits and the
+  // walk's start decides which one δ sums.  The fresh sweep starts each
+  // chunk head's walk at −1; a tracker built serially must too, not carry
+  // the hint in from the previous chunk's last row.  On a plane the
+  // residues sum exactly, so two rows' differences can cancel: hence
+  // several seeds (a hint carried across chunks shows in five of these
+  // eight).
+  ThreadGuard guard;
+  const field::PlaneField plane(10.0, 0.3, -0.7);
+  const DeltaMetric metric(kRegion, 50);
+  for (const std::size_t threads : {1u, 4u}) {
+    par::set_thread_count(threads);
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   " seed=" + std::to_string(seed));
+      num::Rng rng(seed);
+      geo::Delaunay dt(kRegion);
+      for (int corner = 0; corner < geo::Delaunay::kCorners; ++corner) {
+        dt.set_vertex_z(corner, plane.value(dt.vertex(corner).pos));
+      }
+      const auto insert = [&](geo::Vec2 p) { dt.insert(p, plane.value(p)); };
+      for (int i = 0; i < 12; ++i) insert({1.0, rng.uniform(0.0, 100.0)});
+      for (int i = 0; i < 12; ++i) {
+        insert({static_cast<double>(rng.uniform_int(3, 100)),
+                static_cast<double>(rng.uniform_int(0, 100))});
+      }
+      const double fresh = metric.delta(plane, dt);
+      EXPECT_EQ(IncrementalDelta(metric, plane, dt).value(), fresh);
+      EXPECT_EQ(fresh, oracle::walk_delta(metric, plane, dt));
+    }
   }
 }
 
