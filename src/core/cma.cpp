@@ -106,11 +106,12 @@ void CmaSimulation::apply_faults(std::size_t slot) {
   CPS_GAUGE("core.cma.alive_nodes", static_cast<double>(alive_count_));
 }
 
-std::vector<std::vector<NeighborInfo>> CmaSimulation::refresh_neighbor_tables(
-    std::size_t slot) {
-  const std::size_t n = positions_.size();
-  std::vector<std::vector<NeighborInfo>> tables(n);
+void CmaSimulation::refresh_neighbor_tables(std::size_t slot) {
+  CPS_TIMER("core.cma.refresh_tables");
+  tables_.resize(positions_.size());
   const auto fold_node = [&](std::size_t i) {
+    std::vector<NeighborInfo>& row = tables_[i];
+    row.clear();
     if (!alive_[i]) {
       known_[i].clear();
       return;
@@ -143,11 +144,9 @@ std::vector<std::vector<NeighborInfo>> CmaSimulation::refresh_neighbor_tables(
     }
     CPS_HIST("core.cma.neighbor_table_size",
              static_cast<double>(table.size()));
-    tables[i].reserve(table.size());
-    for (const auto& k : table) tables[i].push_back(k.info);
+    for (const auto& k : table) row.push_back(k.info);
   };
   for_each_node(fold_node);
-  return tables;
 }
 
 void CmaSimulation::clamp_to_region(geo::Vec2& p) const noexcept {
@@ -224,7 +223,6 @@ void CmaSimulation::step() {
   // Neighbour tables come from what the channel actually delivered, aged
   // by the staleness TTL — never from the true geometry — so a
   // lost beacon or a dead neighbour degrades knowledge instead of state.
-  std::vector<std::vector<NeighborInfo>> tables;
   {
     CPS_TIMER("core.cma.beacon_round");
     for (std::size_t i = 0; i < n; ++i) {
@@ -236,7 +234,7 @@ void CmaSimulation::step() {
       bus_.broadcast(i, std::move(beacon));
     }
     deliver_round();
-    tables = refresh_neighbor_tables(steps_run_);
+    refresh_neighbor_tables(steps_run_);
   }
 
   // --- 3. Forces and desired destinations (Table 2 lines 6-18). ---
@@ -255,7 +253,7 @@ void CmaSimulation::step() {
         [&](std::size_t i) {
           if (!alive_[i]) return;  // Dead nodes plan no moves.
           const ForceBreakdown forces = compute_forces(
-              positions_[i], peaks[i], tables[i], mean_abs[i], force_config);
+              positions_[i], peaks[i], tables_[i], mean_abs[i], force_config);
           last_forces_[i] = forces;
           CPS_HIST("core.cma.force_f1", forces.f1.norm());
           CPS_HIST("core.cma.force_f2", forces.f2.norm());
@@ -293,8 +291,7 @@ void CmaSimulation::step() {
       tell.destination = len <= told_step
                              ? destination[i]
                              : positions_[i] + leg * (told_step / len);
-      tell.table =
-          std::make_shared<const std::vector<NeighborInfo>>(tables[i]);
+      tell.table = tables_[i];
       bus_.broadcast(i, std::move(tell));
     }
     deliver_round();
@@ -312,7 +309,7 @@ void CmaSimulation::step() {
   {
     CPS_TIMER("core.cma.lcm");
     if (config_.lcm == LcmMode::kStrict) {
-      apply_strict_lcm(tables, destination, max_step, final_target);
+      apply_strict_lcm(destination, max_step, final_target);
     } else if (config_.lcm == LcmMode::kPaper) {
       apply_paper_lcm(destination, final_target);
     }
@@ -394,7 +391,6 @@ void CmaSimulation::resolve_lcm_targets(NodeTarget&& node_target,
 }
 
 void CmaSimulation::apply_strict_lcm(
-    const std::vector<std::vector<NeighborInfo>>& tables,
     const std::vector<geo::Vec2>& destination, double max_step,
     std::vector<geo::Vec2>& final_target) {
   // Bridgeless single-hop links are *critical* and must survive the slot.
@@ -413,7 +409,6 @@ void CmaSimulation::apply_strict_lcm(
     geo::Vec2 midpoint;
     double radius;
   };
-  static const std::vector<NeighborInfo> kEmptyTable;
   // Pure per-node resolution: the clamped override target, or nullopt
   // when unconstrained.
   const auto node_target = [&](std::size_t i) -> std::optional<geo::Vec2> {
@@ -427,9 +422,7 @@ void CmaSimulation::apply_strict_lcm(
       if (d > config_.rc) continue;
       bool bridged = false;
       if (safe > 0.0) {
-        const std::vector<NeighborInfo>& tell_table =
-            tell.table ? *tell.table : kEmptyTable;
-        for (const auto& common : tables[i]) {
+        for (const auto& common : tables_[i]) {
           // The partner itself cannot be its own bridge.
           if (geo::distance(common.position, partner) < 1e-9) continue;
           if (geo::distance(common.position, positions_[i]) > safe) continue;
@@ -437,7 +430,7 @@ void CmaSimulation::apply_strict_lcm(
             bridged = true;  // One-hop bridge with margin.
             break;
           }
-          for (const auto& far : tell_table) {
+          for (const auto& far : tell.table) {
             if (geo::distance(far.position, positions_[i]) < 1e-9) continue;
             if (geo::distance(far.position, partner) > safe) continue;
             if (geo::distance(far.position, common.position) <= safe) {
@@ -497,7 +490,6 @@ void CmaSimulation::apply_paper_lcm(
   // reach neither nd2 directly nor some nj2 in N2, it abandons its own
   // plan and moves to hold d(ni, nd2) = Rc.  With several such movers it
   // chases the most endangered link.  Best effort by construction.
-  static const std::vector<NeighborInfo> kEmptyTable;
   const auto node_target = [&](std::size_t i) -> std::optional<geo::Vec2> {
     if (!alive_[i]) return std::nullopt;
     double worst = -1.0;
@@ -509,7 +501,7 @@ void CmaSimulation::apply_paper_lcm(
       const double after = geo::distance(positions_[i], tell.destination);
       if (after <= config_.rc) continue;  // Still reaches the mover.
       bool via_common = false;
-      for (const auto& common : tell.table ? *tell.table : kEmptyTable) {
+      for (const auto& common : tell.table) {
         if (geo::distance(positions_[i], common.position) <= config_.rc &&
             geo::distance(common.position, tell.destination) <= config_.rc) {
           via_common = true;

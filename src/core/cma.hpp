@@ -27,6 +27,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "core/delta.hpp"
@@ -248,17 +249,18 @@ class CmaSimulation {
     geo::Vec2 position;        // Sender position (beacon) or same (tell).
     double gaussian_abs = 0.0;  // Beacon curvature.
     geo::Vec2 destination;     // Tell: planned destination.
-    /// Tell: sender's neighbour table.  Shared immutable payload: one
-    /// copy per broadcast instead of one per delivery — the dominant
-    /// allocation churn of the bus at production degree.
-    std::shared_ptr<const std::vector<NeighborInfo>> table;
+    /// Tell: the sender's neighbour table, a view of its row of
+    /// tables_ (empty in a beacon).  Tells are read in the slot they are
+    /// sent; the next slot's beacon step() replaces them before
+    /// refresh_neighbor_tables() refills tables_, so the view never
+    /// outlives what it points at while it can still be read.
+    std::span<const NeighborInfo> table;
   };
 
   void clamp_to_region(geo::Vec2& p) const noexcept;
 
   /// Strict midpoint-disk connectivity maintenance (LcmMode::kStrict).
-  void apply_strict_lcm(const std::vector<std::vector<NeighborInfo>>& tables,
-                        const std::vector<geo::Vec2>& destination,
+  void apply_strict_lcm(const std::vector<geo::Vec2>& destination,
                         double max_step,
                         std::vector<geo::Vec2>& final_target);
 
@@ -289,10 +291,10 @@ class CmaSimulation {
   void apply_faults(std::size_t slot);
 
   /// Folds this slot's received beacons into the persistent per-node
-  /// neighbour tables and drops entries past the staleness TTL; returns
-  /// the projected per-node NeighborInfo tables for the force/LCM stages.
-  std::vector<std::vector<NeighborInfo>> refresh_neighbor_tables(
-      std::size_t slot);
+  /// neighbour tables, drops entries past the staleness TTL, and refills
+  /// tables_ in place with the projected NeighborInfo rows for the
+  /// force/tell/LCM stages.
+  void refresh_neighbor_tables(std::size_t slot);
 
   /// Delivers the queued bus round over the tile matching.
   void deliver_round();
@@ -321,6 +323,9 @@ class CmaSimulation {
   std::size_t alive_count_ = 0;
   std::size_t deaths_applied_ = 0;
   std::vector<std::vector<KnownNeighbor>> known_;
+  /// This slot's projected neighbour tables, one row per node, refilled
+  /// in place each slot (rows keep their capacity); tells carry views.
+  std::vector<std::vector<NeighborInfo>> tables_;
   /// Tile decomposition; rebuilt when the ghost width max(rs, link
   /// radius) changes (set_link_model).
   std::unique_ptr<ShardGrid> shard_;

@@ -10,11 +10,6 @@
 namespace cps::core {
 namespace {
 
-/// Candidate sets below this size are matched by a plain scan; above it a
-/// per-tile SpatialHash pays for its build.  At the paper's density the
-/// scan wins for boundary tiles and the hash for interior ones.
-constexpr std::size_t kHashCutoff = 64;
-
 /// Squared distance from p to the closed rectangle (0 inside).
 double rect_distance_sq(geo::Vec2 p, const num::Rect& r) noexcept {
   const double dx = p.x < r.x0 ? r.x0 - p.x : (p.x > r.x1 ? p.x - r.x1 : 0.0);
@@ -175,45 +170,24 @@ void ShardGrid::match_tile(std::size_t t,
     tile.cand_pos.push_back(positions[id]);
   }
 
-  // Match every living owned sender against the candidates.  The
-  // in-range predicate is LinkModel::in_range verbatim (distance_sq vs
-  // radius^2), so the pair set equals the set of probes that could ever
-  // deliver or draw.
+  // Match every living owned sender against the candidates by a plain
+  // scan: the candidates are id-sorted, so each sender's receiver list
+  // comes out ascending with no per-sender sort.  The in-range predicate
+  // is LinkModel::in_range verbatim (distance_sq vs radius^2), so the
+  // pair set equals the set of probes that could ever deliver or draw.
   const double r_sq = radius * radius;
   tile.pairs.clear();
-  const bool use_hash = tile.candidates.size() > kHashCutoff;
-  if (use_hash) {
-    tile.hash.emplace(std::span<const geo::Vec2>(tile.cand_pos), radius);
-  } else {
-    tile.hash.reset();
-  }
   for (const std::uint32_t s : owned(t)) {
     recv_start_[s] = static_cast<std::uint32_t>(tile.pairs.size());
     recv_count_[s] = 0;
     if (!alive[s]) continue;
     const geo::Vec2 ps = positions[s];
     const std::size_t before = tile.pairs.size();
-    if (use_hash) {
-      tile.scratch.clear();
-      tile.hash->collect_candidates_pruned(ps, radius, tile.scratch);
-      // Compact candidate indices are ascending within each cell only;
-      // re-sort for the global ascending-id emission (compact order ==
-      // id order because candidates are id-sorted).
-      std::sort(tile.scratch.begin(), tile.scratch.end());
-      for (const std::uint32_t k : tile.scratch) {
-        const std::uint32_t j = tile.candidates[k];
-        if (j == s) continue;
-        if (geo::distance_sq(ps, tile.cand_pos[k]) <= r_sq) {
-          tile.pairs.push_back(j);
-        }
-      }
-    } else {
-      for (std::size_t k = 0; k < tile.candidates.size(); ++k) {
-        const std::uint32_t j = tile.candidates[k];
-        if (j == s) continue;
-        if (geo::distance_sq(ps, tile.cand_pos[k]) <= r_sq) {
-          tile.pairs.push_back(j);
-        }
+    for (std::size_t k = 0; k < tile.candidates.size(); ++k) {
+      const std::uint32_t j = tile.candidates[k];
+      if (j == s) continue;
+      if (geo::distance_sq(ps, tile.cand_pos[k]) <= r_sq) {
+        tile.pairs.push_back(j);
       }
     }
     recv_count_[s] = static_cast<std::uint32_t>(tile.pairs.size() - before);

@@ -18,15 +18,16 @@
 // (*migration*, counted, no handshake needed because ownership is
 // recomputed from scratch each slot), and (b) runs the *matching* pass:
 // for each owned, living sender it computes the exact ascending-id list
-// of living receivers within the link radius, using a per-tile
-// par::SpatialHash over the tile's candidate set when it is large enough
-// to pay for one.  The match is computed once per slot and reused by both
-// bus rounds (beacon and tell) — positions are frozen within a slot.
+// of living receivers within the link radius by a plain scan of the
+// tile's id-sorted candidate set (own nodes plus ghosts, a few hundred at
+// the paper's density), so the list is ascending with no per-sender sort
+// or index.  The match is computed once per slot and reused by both bus
+// rounds (beacon and tell) — positions are frozen within a slot.
 //
 // Determinism: ownership is a pure function of position (ties on tile
 // edges break toward the higher-index tile via floor + clamp); owned
-// lists are built by a counting sort over ascending node ids; candidate
-// lists are sorted into ascending id order before matching; and per-tile
+// lists are built by a counting sort over ascending node ids; each
+// sender scans its tile's id-sorted candidate list in order; and per-tile
 // results are folded in ascending tile order.  The per-sender receiver
 // lists are therefore independent of the thread count and of the tile
 // size — fed through MessageBus::step, which commits them serially in
@@ -35,14 +36,12 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <vector>
 
 #include "geometry/vec2.hpp"
 #include "net/link_model.hpp"
 #include "numerics/quadrature.hpp"
-#include "parallel/spatial_hash.hpp"
 
 namespace cps::core {
 
@@ -99,8 +98,6 @@ class ShardGrid {
     std::vector<geo::Vec2> cand_pos;  ///< candidates' positions, aligned.
     /// Concatenated receiver lists of this tile's owned senders.
     std::vector<net::NodeId> pairs;
-    std::optional<par::SpatialHash> hash;  ///< Over cand_pos when large.
-    std::vector<std::uint32_t> scratch;    ///< Hash query scratch.
     std::size_t ghost_count = 0;
   };
 

@@ -3,6 +3,8 @@
 #include <limits>
 #include <stdexcept>
 
+#include "obs/obs.hpp"
+
 namespace cps::core {
 
 geo::Delaunay reconstruct_surface(std::span<const Sample> samples,
@@ -14,6 +16,7 @@ geo::Delaunay reconstruct_surface(std::span<const Sample> samples,
     throw std::invalid_argument(
         "reconstruct_surface: kFieldValue needs a reference field");
   }
+  CPS_TIMER("core.delta.reconstruct");
   geo::Delaunay dt(region);
   if (vertex_of_sample != nullptr) vertex_of_sample->clear();
   for (const auto& s : samples) {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
-#include <unordered_map>
 
 #include "geometry/predicates.hpp"
 #include "obs/obs.hpp"
@@ -272,11 +271,6 @@ InsertResult Delaunay::insert(Vec2 p, double z, double duplicate_tol) {
   // triangles are allocated before the cavity is freed so that ids in
   // `removed_triangles` and `created_triangles` never overlap (callers
   // re-bucket samples keyed by these ids).
-  std::unordered_map<int, int> tri_starting_at;  // a -> new triangle id
-  std::unordered_map<int, int> tri_ending_at;    // b -> new triangle id
-  tri_starting_at.reserve(boundary.size());
-  tri_ending_at.reserve(boundary.size());
-
   std::vector<int> created;
   created.reserve(boundary.size());
   for (const auto& edge : boundary) {
@@ -285,8 +279,6 @@ InsertResult Delaunay::insert(Vec2 p, double z, double duplicate_tol) {
     t.v = {new_vertex, edge.a, edge.b};
     t.nbr = {edge.outside, -1, -1};
     created.push_back(tid);
-    tri_starting_at[edge.a] = tid;
-    tri_ending_at[edge.b] = tid;
     // Re-point the outside triangle's adjacency at the replacement.
     if (edge.outside != -1) {
       auto& out = triangles_[static_cast<std::size_t>(edge.outside)];
@@ -301,17 +293,26 @@ InsertResult Delaunay::insert(Vec2 p, double z, double duplicate_tol) {
     }
   }
 
-  // Stitch the fan: triangle (p, a, b) meets the next one across edge
-  // (p, b) and the previous across edge (p, a).  A missing link means the
-  // chain is open there (p landed on the region border) and that edge lies
-  // on the border: -1.
+  // Stitch the fan: triangle (p, a, b) meets the next one, the fan
+  // triangle starting at b, across edge (p, b), and the previous one, the
+  // fan triangle ending at a, across edge (p, a).  A missing link means
+  // the chain is open there (p landed on the region border) and that edge
+  // lies on the border: -1.  The fan has about six edges, so a linear
+  // scan beats any index; it runs backwards and stops at the first hit,
+  // so the last matching edge wins.
+  const auto last_fan_triangle = [&](auto&& matches) {
+    for (std::size_t j = boundary.size(); j-- > 0;) {
+      if (matches(boundary[j])) return created[j];
+    }
+    return -1;
+  };
   for (std::size_t i = 0; i < boundary.size(); ++i) {
     const auto& edge = boundary[i];
     auto& t = triangles_[static_cast<std::size_t>(created[i])];
-    const auto next = tri_starting_at.find(edge.b);
-    const auto prev = tri_ending_at.find(edge.a);
-    t.nbr[1] = next == tri_starting_at.end() ? -1 : next->second;
-    t.nbr[2] = prev == tri_ending_at.end() ? -1 : prev->second;
+    t.nbr[1] = last_fan_triangle(
+        [&](const BoundaryEdge& other) { return other.a == edge.b; });
+    t.nbr[2] = last_fan_triangle(
+        [&](const BoundaryEdge& other) { return other.b == edge.a; });
   }
 
   for (const int tid : cavity) free_triangle(tid);

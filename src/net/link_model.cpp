@@ -1,10 +1,12 @@
 #include "net/link_model.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <exception>
 #include <limits>
 #include <stdexcept>
+#include <utility>
 
 namespace cps::net {
 
@@ -65,12 +67,47 @@ std::uint64_t link_key(NodeId from, NodeId to) noexcept {
 
 }  // namespace
 
+std::size_t GilbertElliottLink::probe(std::uint64_t key) const noexcept {
+  // Fibonacci hashing: the top bits of key * 2^64/phi spread the
+  // (from << 32 | to) keys of neighbouring ids across the table.
+  const std::size_t mask = slots_.size() - 1;
+  const int shift = 64 - std::countr_zero(slots_.size());
+  std::size_t i = static_cast<std::size_t>(
+      (key * 0x9E3779B97F4A7C15ull) >> shift);
+  while (slots_[i].state != kEmpty && slots_[i].key != key) {
+    i = (i + 1) & mask;
+  }
+  return i;
+}
+
+void GilbertElliottLink::grow() {
+  const std::vector<LinkSlot> old = std::exchange(
+      slots_, std::vector<LinkSlot>(slots_.empty() ? 16 : 2 * slots_.size()));
+  for (const LinkSlot& slot : old) {
+    if (slot.state != kEmpty) slots_[probe(slot.key)] = slot;
+  }
+}
+
+std::uint8_t& GilbertElliottLink::state_of(std::uint64_t key) {
+  if (slots_.empty()) grow();
+  std::size_t i = probe(key);
+  if (slots_[i].state == kEmpty) {
+    // Keep the load at or below one half.
+    if (2 * (used_ + 1) > slots_.size()) {
+      grow();
+      i = probe(key);
+    }
+    slots_[i] = LinkSlot{key, kGood};
+    ++used_;
+  }
+  return slots_[i].state;
+}
+
 bool GilbertElliottLink::link_is_bad(NodeId from, NodeId to) const noexcept {
   // A link with a wider id never got state (transmit() would have ended
   // the program), so it is in the start state.
-  if (!keyable(from, to)) return false;
-  const auto it = bad_.find(link_key(from, to));
-  return it != bad_.end() && it->second;
+  if (!keyable(from, to) || slots_.empty()) return false;
+  return slots_[probe(link_key(from, to))].state == kBad;
 }
 
 bool GilbertElliottLink::transmit(NodeId from, NodeId to, geo::Vec2 from_pos,
@@ -79,12 +116,16 @@ bool GilbertElliottLink::transmit(NodeId from, NodeId to, geo::Vec2 from_pos,
   // A wider id would alias another link's state; noexcept leaves no
   // error to report but ending the program.
   if (!keyable(from, to)) std::terminate();
-  bool& is_bad = bad_[link_key(from, to)];
+  std::uint8_t& state = state_of(link_key(from, to));
   // One Markov step per attempt, then a loss draw in the new state; the
   // two draws always happen so the stream stays aligned across links.
+  bool is_bad = state == kBad;
   const bool flip = rng_.bernoulli(is_bad ? params_.p_bad_to_good
                                           : params_.p_good_to_bad);
-  if (flip) is_bad = !is_bad;
+  if (flip) {
+    is_bad = !is_bad;
+    state = is_bad ? kBad : kGood;
+  }
   return !rng_.bernoulli(is_bad ? params_.loss_bad : params_.loss_good);
 }
 

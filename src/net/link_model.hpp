@@ -23,10 +23,11 @@
 // contract per model.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "geometry/vec2.hpp"
 #include "net/radio.hpp"
@@ -188,6 +189,13 @@ class DistanceLossLink final : public LinkModel {
 /// keyed by (from << 32 | to).  An in-range transmit() with a wider id
 /// calls std::terminate (transmit() is noexcept) rather than alias
 /// another link's state.
+///
+/// The table is flat open addressing: linear probing over a power-of-two
+/// slot array kept at most half full, doubled only when an insert would
+/// pass that load.  Entries are never erased (a link that recovers stays
+/// as a good entry).  Occupancy is a per-slot state byte, not a reserved
+/// key: every 64-bit key, the all-ones link (2^32 - 1, 2^32 - 1)
+/// included, is a legal link.
 class GilbertElliottLink final : public LinkModel {
  public:
   struct Params {
@@ -215,13 +223,30 @@ class GilbertElliottLink final : public LinkModel {
   }
 
  private:
+  /// One slot of the link table.
+  struct LinkSlot {
+    std::uint64_t key = 0;  ///< from << 32 | to; meaningless when empty.
+    std::uint8_t state = 0;  ///< kEmpty, kGood or kBad.
+  };
+  static constexpr std::uint8_t kEmpty = 0;
+  static constexpr std::uint8_t kGood = 1;
+  static constexpr std::uint8_t kBad = 2;
+
+  /// Index of `key`'s slot, or of the empty slot ending its probe run.
+  /// Requires a non-empty table.
+  std::size_t probe(std::uint64_t key) const noexcept;
+  /// The state byte of `key`, inserted as kGood when absent.
+  std::uint8_t& state_of(std::uint64_t key);
+  /// Doubles the table (16 slots when empty) and re-inserts every entry.
+  void grow();
+
   double radius_;
   Params params_;
   num::Rng rng_;
-  /// Directed link (from << 32 | to) -> in-bad-state.  Absent means
-  /// good (the start state).  Nothing iterates it, so the hash layout
-  /// cannot reach an outcome.
-  std::unordered_map<std::uint64_t, bool> bad_;
+  /// Directed link -> state.  Absent means good (the start state).
+  /// Nothing iterates it, so the slot layout cannot reach an outcome.
+  std::vector<LinkSlot> slots_;
+  std::size_t used_ = 0;  ///< Occupied slots.
 };
 
 }  // namespace cps::net

@@ -14,6 +14,12 @@
 // sweeps.  Nodes can also die and revive mid-run (set_alive, driven by a
 // FaultSchedule): a dead node neither sends nor receives, and messages in
 // flight from a node that dies before delivery are lost with the node.
+//
+// Storage: step() keeps the committed broadcasts as one list, one stored
+// copy per broadcast, and each inbox is a list of indices into it.  A
+// broadcast heard by twenty neighbours is stored once, not twenty times;
+// inbox(id) is a view yielding {from, const M&} over that storage, valid
+// until the next step().
 #pragma once
 
 #include <algorithm>
@@ -29,13 +35,6 @@
 #include "obs/obs.hpp"
 
 namespace cps::net {
-
-/// A delivered message with its sender.
-template <typename M>
-struct Delivery {
-  NodeId from = 0;
-  M message{};
-};
 
 /// Broadcast-only message bus for `M`-typed payloads.
 template <typename M>
@@ -132,6 +131,7 @@ class MessageBus {
   /// sender itself.
   template <typename ReceiversOf>
   void step(ReceiversOf&& receivers_of) {
+    CPS_TIMER("net.bus.commit");
     for (const auto& pending : outbox_) {
       if (!alive_[pending.from]) continue;
       for (const NodeId to : receivers_of(pending.from)) {
@@ -143,6 +143,10 @@ class MessageBus {
       }
     }
     begin_slot();
+    // The committed broadcasts become the stored copies the inboxes index;
+    // the previous slot's are released here.
+    delivered_.swap(outbox_);
+    outbox_.clear();
     // Per-reason drop accounting is arithmetic over per-message tallies:
     // every living receiver outside the list is out of range, so
     //   dead_receiver = node_count - alive_now          (per message)
@@ -150,28 +154,37 @@ class MessageBus {
     const bool account = obs::enabled();
     const std::size_t alive_now = account ? alive_count() : 0;
     const bool no_draws = link_->draw_free();
-    for (auto& pending : outbox_) {
+    for (std::size_t k = 0; k < delivered_.size(); ++k) {
+      const Pending& pending = delivered_[k];
       if (!alive_[pending.from]) {
         // Died with messages in flight: the whole broadcast is lost.
         count_drops(DropReason::kDeadSender, 1);
         continue;
       }
+      const auto index = static_cast<std::uint32_t>(k);
       std::uint64_t delivered = 0;
       std::uint64_t lost = 0;
       const auto& receivers = receivers_of(pending.from);
       for (const NodeId to : receivers) {
-        CPS_COUNT("net.bus.transmit_attempts", 1);
         if (no_draws || link_->transmit(pending.from, to, pending.sent_from,
                                         positions_[to])) {
-          CPS_COUNT("net.bus.deliveries", 1);
           ++delivered;
-          inboxes_[to].push_back(Delivery<M>{pending.from, pending.message});
+          inboxes_[to].push_back(index);
         } else {
           // Every listed receiver is in range, so a failed transmit is a
           // channel loss, never an out-of-range miss.
-          CPS_COUNT("net.bus.delivery_failures", 1);  // Legacy aggregate.
           ++lost;
         }
+      }
+      // One registry add per broadcast, not per pair; a zero add is
+      // skipped so a counter is registered exactly when the per-pair
+      // count would have registered it.
+      if (delivered + lost != 0) {
+        CPS_COUNT("net.bus.transmit_attempts", delivered + lost);
+      }
+      if (delivered != 0) CPS_COUNT("net.bus.deliveries", delivered);
+      if (lost != 0) {
+        CPS_COUNT("net.bus.delivery_failures", lost);  // Legacy aggregate.
       }
       if (account) {
         count_drops(DropReason::kDeadReceiver,
@@ -182,21 +195,72 @@ class MessageBus {
             static_cast<std::uint64_t>(alive_now - 1) - delivered - lost);
       }
     }
-    outbox_.clear();
-  }
-
-  /// Messages delivered to `id` by the last step().
-  const std::vector<Delivery<M>>& inbox(NodeId id) const {
-    return inboxes_.at(id);
   }
 
  private:
+  /// A queued broadcast; after step(), the stored copy inboxes index.
   struct Pending {
     NodeId from;
     geo::Vec2 sent_from;
     M message;
   };
 
+ public:
+  /// One delivered message: its sender and the broadcast's stored copy.
+  struct Received {
+    NodeId from;
+    const M& message;
+  };
+
+  /// The messages delivered to one node by the last step(), in delivery
+  /// order.  A view over the bus's storage: valid, and unchanged, until
+  /// the next step() (or until set_alive(id, false) clears the inbox).
+  class Inbox {
+   public:
+    /// Enough of an iterator for range-for.
+    class iterator {
+     public:
+      iterator(const std::uint32_t* at, const std::vector<Pending>* store)
+          : at_(at), store_(store) {}
+      Received operator*() const {
+        const Pending& p = (*store_)[*at_];
+        return Received{p.from, p.message};
+      }
+      iterator& operator++() {
+        ++at_;
+        return *this;
+      }
+      bool operator==(const iterator& o) const { return at_ == o.at_; }
+
+     private:
+      const std::uint32_t* at_;
+      const std::vector<Pending>* store_;
+    };
+
+    Inbox(const std::vector<std::uint32_t>& indices,
+          const std::vector<Pending>& store)
+        : indices_(&indices), store_(&store) {}
+
+    std::size_t size() const noexcept { return indices_->size(); }
+    bool empty() const noexcept { return indices_->empty(); }
+    Received operator[](std::size_t i) const {
+      const Pending& p = (*store_)[(*indices_)[i]];
+      return Received{p.from, p.message};
+    }
+    iterator begin() const { return {indices_->data(), store_}; }
+    iterator end() const {
+      return {indices_->data() + indices_->size(), store_};
+    }
+
+   private:
+    const std::vector<std::uint32_t>* indices_;
+    const std::vector<Pending>* store_;
+  };
+
+  /// Messages delivered to `id` by the last step().
+  Inbox inbox(NodeId id) const { return Inbox(inboxes_.at(id), delivered_); }
+
+ private:
   /// Opens a delivery slot: clears every inbox and pre-reserves it to its
   /// running high-water mark, so a receiver whose inbox storage was
   /// released (e.g. cleared on death, or freshly constructed) regrows to
@@ -222,7 +286,10 @@ class MessageBus {
   std::vector<geo::Vec2> positions_;
   std::vector<char> alive_;
   std::vector<Pending> outbox_;
-  std::vector<std::vector<Delivery<M>>> inboxes_;
+  /// The last step()'s broadcasts, one stored copy each.
+  std::vector<Pending> delivered_;
+  /// Per receiver: indices into delivered_, in delivery order.
+  std::vector<std::vector<std::uint32_t>> inboxes_;
   /// Per-receiver running high-water marks feeding begin_slot()'s
   /// reservation.
   std::vector<std::size_t> inbox_hw_ =

@@ -1,11 +1,15 @@
 // Uniform-grid spatial index for 2D radius queries.
 //
 // The limited-range-interaction structure the paper's workloads share —
-// disk-graph adjacency (Definition 3.1), CMA neighbour tables, FRA's
-// nearest-placed-node pricing — is "find everything within r of p".  The
-// all-pairs O(n^2) scans that answered it in the seed become the hot path
-// at production scale; this index answers each query in O(points in the
-// 3x3 cell neighbourhood) after an O(n) counting-sort build.
+// disk-graph adjacency (Definition 3.1), FRA's nearest-placed-node
+// pricing — is "find everything within r of p".  The all-pairs O(n^2)
+// scans that answered it in the seed become the hot path at production
+// scale; this index answers each query in O(points in the 3x3 cell
+// neighbourhood) after an O(n) counting-sort build.  (CMA's radio
+// matching does not use it: core::ShardGrid's tiles already bound each
+// sender's scan to a few hundred id-sorted candidates, and scanning them
+// in id order yields the ascending receiver lists the bus needs without
+// a per-sender sort.)
 //
 // Layout is CSR: point ids bucketed by cell, cells row-major over the
 // bounding box, ids ascending inside each cell.  The build and every
@@ -124,35 +128,6 @@ class SpatialHash {
         }
       }
     }
-  }
-
-  /// Appends to `out` the ids of every indexed point whose cell
-  /// intersects the disk (p, radius), skipping whole cells whose closed
-  /// rectangle lies strictly outside it — typically the corner cells of
-  /// the 3x3 neighbourhood, ~15% of candidates at uniform density.  A
-  /// superset of the points within `radius`: callers apply the exact
-  /// distance test.  Ids arrive cell by cell (row-major, ascending within
-  /// each cell); callers needing a globally ascending order sort the
-  /// result.  Returns the number of cells whose members were appended.
-  std::size_t collect_candidates_pruned(
-      geo::Vec2 p, double radius, std::vector<std::uint32_t>& out) const {
-    if (ids_.empty()) return 0;
-    const std::size_t c0 = col_of(p.x - radius);
-    const std::size_t c1 = col_of(p.x + radius);
-    const std::size_t r0 = row_of(p.y - radius);
-    const std::size_t r1 = row_of(p.y + radius);
-    const double r_sq = radius * radius;
-    std::size_t cells = 0;
-    for (std::size_t row = r0; row <= r1; ++row) {
-      for (std::size_t col = c0; col <= c1; ++col) {
-        const std::size_t c = cell_index(col, row);
-        if (cell_distance_sq(p, c) > r_sq) continue;
-        ++cells;
-        const auto members = cell_members(c);
-        out.insert(out.end(), members.begin(), members.end());
-      }
-    }
-    return cells;
   }
 
  private:

@@ -345,11 +345,11 @@ TEST(CmaTiles, NodesMigrateAcrossTilesMidRun) {
   par::set_thread_count(0);
 }
 
-TEST(CmaTiles, DenseTilesUseHashedMatching) {
-  // 300 nodes over 2x2 big tiles puts every tile's candidate count far
-  // past the hash cutoff, so this sweep exercises the per-tile
-  // SpatialHash + pruned-cell path of the matcher (the small-n sweeps
-  // above all take the plain scan).
+TEST(CmaTiles, DenseTilesMatchByPlainScan) {
+  // 300 nodes over 2x2 big tiles gives every tile a candidate set of
+  // hundreds, most of them out of range of any one sender, so each
+  // sender's scan must skip far more candidates than it keeps and still
+  // emit its receivers in ascending id order.
   RunSpec spec;
   spec.nodes = 300;
   spec.slots = 4;

@@ -4,6 +4,7 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "net/message_bus.hpp"
@@ -85,6 +86,51 @@ TEST(MessageBus, MultipleSendersAggregate) {
   EXPECT_EQ(bus.inbox(2).size(), 2u);
   EXPECT_EQ(bus.inbox(0).size(), 1u);
   EXPECT_EQ(bus.inbox(0)[0].message, 20);
+}
+
+TEST(MessageBus, ReceiversShareOneStoredCopyUntilNextStep) {
+  // Every receiver's view of one broadcast refers to the same stored
+  // message, and the views survive later broadcasts and moves unchanged
+  // until the next step() replaces them.
+  MessageBus<std::string> bus(4, DiskRadio(10.0));
+  for (NodeId i = 0; i < 4; ++i) {
+    bus.set_position(i, {static_cast<double>(i), 0.0});
+  }
+  bus.broadcast(0, "first");
+  bus.broadcast(2, "second");
+  bus.step(oracle::in_range_receivers(bus));
+
+  const auto view = bus.inbox(3);
+  ASSERT_EQ(view.size(), 2u);
+  const std::string* first = &view[0].message;
+  const std::string* second = &view[1].message;
+  EXPECT_EQ(*first, "first");
+  EXPECT_EQ(*second, "second");
+  for (const NodeId to : {NodeId{1}, NodeId{2}, NodeId{3}}) {
+    ASSERT_FALSE(bus.inbox(to).empty());
+    EXPECT_EQ(bus.inbox(to)[0].from, 0u);
+    EXPECT_EQ(&bus.inbox(to)[0].message, first) << "receiver " << to;
+  }
+  EXPECT_EQ(&bus.inbox(1)[1].message, second);
+
+  // Queue the next round and move a sender: the views do not change.
+  bus.broadcast(1, "third");
+  bus.broadcast(3, "fourth");
+  bus.set_position(0, {50.0, 0.0});
+  std::vector<std::pair<NodeId, const std::string*>> seen;
+  for (const auto& received : view) {
+    seen.emplace_back(received.from, &received.message);
+  }
+  const std::vector<std::pair<NodeId, const std::string*>> want{
+      {0, first}, {2, second}};
+  EXPECT_EQ(seen, want);
+  EXPECT_EQ(bus.inbox(3)[1].message, "second");
+
+  bus.step(oracle::in_range_receivers(bus));
+  ASSERT_EQ(bus.inbox(2).size(), 2u);
+  EXPECT_EQ(bus.inbox(2)[0].message, "third");
+  EXPECT_EQ(bus.inbox(2)[1].message, "fourth");
+  EXPECT_TRUE(bus.inbox(0).empty());  // Now out of range of everyone.
 }
 
 TEST(MessageBus, UsesSendTimePosition) {

@@ -5,6 +5,8 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <numeric>
+#include <set>
 #include <utility>
 #include <vector>
 
@@ -210,7 +212,13 @@ TEST(GilbertElliottLink, PerLinkStateIsIndependent) {
   EXPECT_FALSE(link.link_is_bad(2, 3));
 }
 
-TEST(GilbertElliottLink, MatchesMapReferenceThroughCloneOverRandomTransmits) {
+// Runs `attempts` random transmits over links drawn from `ids` through a
+// GilbertElliottLink and the map reference, clones both halfway (each
+// clone then runs the reversed link of every later attempt), and checks
+// every outcome and every touched link's final state.  Returns the number
+// of distinct directed links that got state in the original.
+std::size_t expect_matches_map_reference(const std::vector<NodeId>& ids,
+                                         int attempts) {
   // Fast transitions and distinct per-state losses, so the outcome of each
   // attempt depends on its link's state.
   GilbertElliottLink::Params p;
@@ -223,16 +231,12 @@ TEST(GilbertElliottLink, MatchesMapReferenceThroughCloneOverRandomTransmits) {
   std::unique_ptr<LinkModel> copy;
   oracle::MapGilbertElliott copy_ref = ref;
 
-  // Ids include both 32-bit halves' extremes, so a packing that dropped or
-  // mixed bits would alias links these pairs keep apart.
-  const std::vector<NodeId> ids{0, 1, 2, 3, 5, 8, 13, 21, 34, 55,
-                                (NodeId{1} << 31), 0xFFFFFFFFu};
   num::Rng draw(2024);
   std::vector<std::pair<NodeId, NodeId>> touched;
+  std::set<std::pair<NodeId, NodeId>> with_state;
   std::size_t in_range = 0;
-  const int n = 12000;
-  for (int i = 0; i < n; ++i) {
-    if (i == n / 2) {
+  for (int i = 0; i < attempts; ++i) {
+    if (i == attempts / 2) {
       copy = link.clone();
       copy_ref = ref;
     }
@@ -245,31 +249,74 @@ TEST(GilbertElliottLink, MatchesMapReferenceThroughCloneOverRandomTransmits) {
     // Endpoints 0-20 m apart on each axis: a mix of in- and out-of-range.
     const geo::Vec2 a{draw.uniform(0.0, 20.0), draw.uniform(0.0, 20.0)};
     const geo::Vec2 b{draw.uniform(0.0, 20.0), draw.uniform(0.0, 20.0)};
-    in_range += link.in_range(a, b) ? 1 : 0;
+    const bool near = link.in_range(a, b);
+    in_range += near ? 1 : 0;
+    if (near) with_state.emplace(from, to);
     touched.emplace_back(from, to);
-    ASSERT_EQ(link.transmit(from, to, a, b), ref.transmit(from, to, a, b))
+    EXPECT_EQ(link.transmit(from, to, a, b), ref.transmit(from, to, a, b))
         << "attempt " << i;
     if (copy != nullptr) {
-      ASSERT_EQ(copy->transmit(to, from, b, a),
+      EXPECT_EQ(copy->transmit(to, from, b, a),
                 copy_ref.transmit(to, from, b, a))
           << "clone attempt " << i;
     }
+    if (::testing::Test::HasFailure()) return with_state.size();
   }
-  EXPECT_GT(in_range, static_cast<std::size_t>(n) / 4);
-  EXPECT_LT(in_range, static_cast<std::size_t>(3 * n) / 4);
+  EXPECT_GT(in_range, static_cast<std::size_t>(attempts) / 4);
+  EXPECT_LT(in_range, static_cast<std::size_t>(3 * attempts) / 4);
 
   const auto& cloned = dynamic_cast<const GilbertElliottLink&>(*copy);
   std::size_t bad = 0;
   for (const auto& [from, to] : touched) {
-    ASSERT_EQ(link.link_is_bad(from, to), ref.link_is_bad(from, to));
-    ASSERT_EQ(cloned.link_is_bad(from, to), copy_ref.link_is_bad(from, to));
-    ASSERT_EQ(cloned.link_is_bad(to, from), copy_ref.link_is_bad(to, from));
+    EXPECT_EQ(link.link_is_bad(from, to), ref.link_is_bad(from, to));
+    EXPECT_EQ(cloned.link_is_bad(from, to), copy_ref.link_is_bad(from, to));
+    EXPECT_EQ(cloned.link_is_bad(to, from), copy_ref.link_is_bad(to, from));
+    if (::testing::Test::HasFailure()) return with_state.size();
     bad += link.link_is_bad(from, to) ? 1 : 0;
   }
   EXPECT_GT(bad, 0u);  // Both states are held at the end.
   EXPECT_LT(bad, touched.size());
   // An id wider than 32 bits never got state: its link is good.
   EXPECT_FALSE(link.link_is_bad(NodeId{1} << 40, 0));
+  return with_state.size();
+}
+
+TEST(GilbertElliottLink, MatchesMapReferenceThroughCloneOverRandomTransmits) {
+  // Ids include both 32-bit halves' extremes, so a packing that dropped or
+  // mixed bits would alias links these pairs keep apart.
+  expect_matches_map_reference({0, 1, 2, 3, 5, 8, 13, 21, 34, 55,
+                                (NodeId{1} << 31), 0xFFFFFFFFu},
+                               12000);
+  // A thousand ids and the extremes: over 100k distinct directed links get
+  // state, so the table grows many times, on both sides of the clone.
+  std::vector<NodeId> many(1000);
+  std::iota(many.begin(), many.end(), NodeId{0});
+  many.push_back(NodeId{1} << 31);
+  many.push_back(0xFFFFFFFFu);
+  EXPECT_GE(expect_matches_map_reference(many, 240000), 100000u);
+}
+
+TEST(GilbertElliottLink, AllOnesLinkKeepsItsStateThroughGrowth) {
+  // Every link fades on its first attempt and never recovers, so a link
+  // that reads good after an attempt has lost its entry.  The all-ones
+  // link fades first; thousands of other links then grow the table.
+  GilbertElliottLink::Params p;
+  p.p_good_to_bad = 1.0;
+  p.p_bad_to_good = 0.0;
+  GilbertElliottLink link(10.0, p, 5);
+  constexpr NodeId kAllOnes = 0xFFFFFFFFu;
+  link.transmit(kAllOnes, kAllOnes, {0.0, 0.0}, {1.0, 0.0});
+  ASSERT_TRUE(link.link_is_bad(kAllOnes, kAllOnes));
+  for (NodeId from = 0; from < 100; ++from) {
+    for (NodeId to = 0; to < 100; ++to) {
+      link.transmit(from, to, {0.0, 0.0}, {1.0, 0.0});
+    }
+  }
+  EXPECT_TRUE(link.link_is_bad(kAllOnes, kAllOnes));
+  EXPECT_TRUE(link.link_is_bad(0, 0));
+  EXPECT_TRUE(link.link_is_bad(99, 99));
+  EXPECT_FALSE(link.link_is_bad(kAllOnes, 0));  // Never attempted.
+  EXPECT_FALSE(link.link_is_bad(0, kAllOnes));
 }
 
 // --- MessageBus liveness -------------------------------------------------

@@ -10,11 +10,13 @@ or twice from one tree at two `--threads` values.  Each run gets its own
 empty working directory, so the outputs a bench writes relative to its
 working directory (bench_out/, deployment CSVs, grids) cannot mix.  Then
 it compares, byte for byte, each run pair's stdout and every `.csv`,
-`.pgm` and `.cpsgrid` file the two runs wrote.  The one stdout line that
-may differ is the `threads: N` banner, which reports the pool size and so
-differs by design when the pool size is what is being compared.  Timing
-and obs sidecars (JSON, JSONL) are not compared: they hold wall-clock
-values.
+`.pgm`, `.cpsgrid` and `_timeline.jsonl` file the two runs wrote.  The
+one stdout line that may differ is the `threads: N` banner, which reports
+the pool size and so differs by design when the pool size is what is
+being compared.  Timeline samples carry sequence numbers and slot
+indices, not times, and timer histograms never enter them (DESIGN.md
+§12), so a timeline is deterministic.  The metrics JSON sidecars and
+trace files are not compared: they hold wall-clock values.
 
 Prints every file that differs or exists on one side only, and exits 1 on
 any difference or failed run, 2 on a usage error, 0 when everything is
@@ -30,7 +32,7 @@ import sys
 import tempfile
 
 PREFIXES = ("bench_fig", "bench_ablation_", "bench_extension_")
-COMPARED = (".csv", ".pgm", ".cpsgrid")
+COMPARED = (".csv", ".pgm", ".cpsgrid", "_timeline.jsonl")
 THREADS_LINE = re.compile(rb"^threads: \d+\n", re.MULTILINE)
 RUN_TIMEOUT_S = 600
 
