@@ -151,7 +151,6 @@ int main(int argc, char** argv) {
     core::CmaConfig sim_cfg;
     sim_cfg.lcm = core::LcmMode::kPaper;
     sim_cfg.neighbor_ttl = 3;  // Coast through lost beacons for 2 slots.
-    sim_cfg.seed = 20100607;
     core::CmaSimulation sim(env, bench::kRegion, fra_nodes, sim_cfg,
                             bench::reference_time());
     sim.set_link_model(channel.make());

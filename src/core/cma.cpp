@@ -22,16 +22,22 @@ CmaSimulation::CmaSimulation(const field::TimeVaryingField& environment,
       region_(region),
       config_(config),
       positions_(std::move(initial)),
-      bus_(positions_.size(),
-           net::DiskRadio(config.rc, config.packet_loss, config.seed)),
+      bus_(positions_.size(), std::make_unique<net::DiskLink>(config.rc)),
       time_(start_time) {
   if (positions_.empty()) {
     throw std::invalid_argument("CmaSimulation: no nodes");
   }
-  // Written as !(x > 0) so a NaN parameter is rejected too.
-  if (!(config.rs > 0.0) || !(config.rc > 0.0) ||
-      !(config.velocity >= 0.0) || !(config.dt > 0.0) ||
-      !(config.force_gain > 0.0) || config.neighbor_ttl == 0) {
+  // Finite as well as positive: NaN fails the comparisons, and an
+  // infinite length would reach the sensing lattice's and the tiling's
+  // integer casts.
+  const auto positive_finite = [](double x) {
+    return x > 0.0 && std::isfinite(x);
+  };
+  if (!positive_finite(config.rs) || !positive_finite(config.rc) ||
+      !positive_finite(config.sample_spacing) ||
+      !(config.velocity >= 0.0 && std::isfinite(config.velocity)) ||
+      !positive_finite(config.dt) || !positive_finite(config.force_gain) ||
+      config.neighbor_ttl == 0) {
     throw std::invalid_argument("CmaSimulation: bad config");
   }
   for (const auto& p : positions_) {
@@ -275,8 +281,9 @@ void CmaSimulation::step() {
   // The told destination is the waypoint actually reachable this slot
   // (speed-capped), not the full force target up to Rs away: neighbours
   // judge link survival on real post-slot geometry, so the chase rule
-  // fires only for links genuinely about to break.
-  const double told_step =
+  // fires only for links genuinely about to break.  The same cap bounds
+  // the LCM and the move below.
+  const double max_step =
       config_.velocity * config_.dt *
       (config_.lcm == LcmMode::kStrict ? config_.speed_fraction : 1.0);
   {
@@ -288,9 +295,9 @@ void CmaSimulation::step() {
       tell.position = positions_[i];
       const geo::Vec2 leg = destination[i] - positions_[i];
       const double len = leg.norm();
-      tell.destination = len <= told_step
+      tell.destination = len <= max_step
                              ? destination[i]
-                             : positions_[i] + leg * (told_step / len);
+                             : positions_[i] + leg * (max_step / len);
       tell.table = tables_[i];
       bus_.broadcast(i, std::move(tell));
     }
@@ -300,9 +307,6 @@ void CmaSimulation::step() {
   // The LCM variants (see LcmMode).  Strict mode trades speed for a
   // provable per-slot connectivity invariant; paper mode is the literal
   // Fig. 4 chase rule at full speed, best effort.
-  const double max_step =
-      config_.velocity * config_.dt *
-      (config_.lcm == LcmMode::kStrict ? config_.speed_fraction : 1.0);
   std::vector<geo::Vec2> final_target = destination;
   last_chases_ = 0;
 

@@ -73,8 +73,6 @@ struct CmaConfig {
   double force_gain = 1.0;
   /// |Fs| below this is treated as balanced (Table 2 line 13).
   double force_tolerance = 1e-3;
-  /// Beacon/tell loss probability (0 in the paper; robustness knob).
-  double packet_loss = 0.0;
   bool normalize_curvature = true;  ///< See core/forces.hpp.
   double attraction_gain = 0.1;     ///< See ForceConfig::attraction_gain.
   /// See ForceConfig::repulsion_equilibrium.
@@ -103,7 +101,6 @@ struct CmaConfig {
   /// decisions coast through lost beacons and notice dead neighbours only
   /// after the TTL lapses: the graceful-degradation knob.  Must be >= 1.
   std::size_t neighbor_ttl = 1;
-  std::uint64_t seed = 7;      ///< Radio-loss randomness only.
   /// Tile side of the slot schedule (cma_sharding.hpp), metres; <= 0
   /// picks twice the ghost width.  Clamped up to the ghost width
   /// max(rs, link radius).  A pure performance knob: every tiling gives
@@ -130,7 +127,7 @@ class CmaSimulation {
   void set_fault_schedule(net::FaultSchedule schedule);
 
   /// Replaces the channel model behind the beacon/tell rounds (default:
-  /// the paper's disk radio with config.packet_loss).  Call before the
+  /// the paper's lossless disk of radius config.rc).  Call before the
   /// first step() for a fully reproducible run.
   void set_link_model(std::unique_ptr<net::LinkModel> link) {
     bus_.set_link(std::move(link));

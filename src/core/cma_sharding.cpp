@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
 
 #include "obs/obs.hpp"
@@ -31,10 +33,16 @@ ShardGrid::ShardGrid(const num::Rect& region, double tile_size,
   const double side = std::max(tile_size, ghost);
   const double w = region.x1 - region.x0;
   const double h = region.y1 - region.y0;
-  cols_ = std::max<std::size_t>(
-      1, static_cast<std::size_t>(std::floor(w / side)));
-  rows_ = std::max<std::size_t>(
-      1, static_cast<std::size_t>(std::floor(h / side)));
+  // Counted in doubles first: a tiny side makes the tile count too large
+  // for any integer cast, and node_tile_ stores tile ids as uint32_t.
+  const double cols = std::max(1.0, std::floor(w / side));
+  const double rows = std::max(1.0, std::floor(h / side));
+  if (!(cols * rows <=
+        static_cast<double>(std::numeric_limits<std::uint32_t>::max()))) {
+    throw std::invalid_argument("ShardGrid: tile count exceeds uint32_t");
+  }
+  cols_ = static_cast<std::size_t>(cols);
+  rows_ = static_cast<std::size_t>(rows);
   // Stretch the sides so cols_ x rows_ tiles cover the region exactly;
   // stretching keeps them >= side, never below.
   sx_ = w > 0.0 ? w / static_cast<double>(cols_) : 1.0;

@@ -47,10 +47,10 @@ namespace cps::core {
 
 class ShardGrid {
  public:
-  /// Tiles `region` with sides >= max(tile_size, ghost) (both > 0,
-  /// std::invalid_argument otherwise).  The actual side stretches so an
-  /// integral number of tiles covers the region exactly; `ghost` must be
-  /// >= the link radius used at prepare() time.
+  /// Tiles `region` with sides >= max(tile_size, ghost) (both > 0, and
+  /// at most 2^32 - 1 tiles; std::invalid_argument otherwise).  The actual
+  /// side stretches so an integral number of tiles covers the region
+  /// exactly; `ghost` must be >= the link radius used at prepare() time.
   ShardGrid(const num::Rect& region, double tile_size, double ghost);
 
   /// Rebuilds ownership (counting migrations) and the per-sender receiver

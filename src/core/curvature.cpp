@@ -1,6 +1,7 @@
 #include "core/curvature.hpp"
 
 #include <cmath>
+#include <limits>
 #include <span>
 #include <stdexcept>
 #include <vector>
@@ -10,9 +11,23 @@
 namespace cps::core {
 namespace {
 
+// Largest half-width whose lattice, side 2h + 1, has side^2 cells that an
+// int index j * side + i can address.
+constexpr long long kMaxHalfCells = 23169;
+static_assert((2 * kMaxHalfCells + 1) * (2 * kMaxHalfCells + 1) <=
+              std::numeric_limits<int>::max());
+static_assert((2 * kMaxHalfCells + 3) * (2 * kMaxHalfCells + 3) >
+              std::numeric_limits<int>::max());
+
 // Lattice half-width in cells for a disk of `radius` at `spacing` pitch.
+// Throws std::invalid_argument (before any integer cast) when the lattice
+// would not fit its index, which includes an infinite radius.
 int half_cells(double radius, double spacing) {
-  return static_cast<int>(std::floor(radius / spacing));
+  const double h = std::floor(radius / spacing);
+  if (!(h <= static_cast<double>(kMaxHalfCells))) {
+    throw std::invalid_argument("SensingPatch: disk too large for its lattice");
+  }
+  return static_cast<int>(h);
 }
 
 }  // namespace

@@ -29,7 +29,9 @@ class SensingPatch {
  public:
   /// Senses `f` on the spacing-pitched lattice inside the disk of
   /// `radius` around `center`.  Throws std::invalid_argument when radius
-  /// or spacing is <= 0 or the disk holds fewer than 3 lattice points.
+  /// or spacing is <= 0, when the disk holds fewer than 3 lattice points,
+  /// or when radius / spacing exceeds 23169 (the lattice would outgrow its
+  /// int index; an infinite radius included).
   SensingPatch(const field::Field& f, geo::Vec2 center, double radius,
                double spacing = 1.0);
 

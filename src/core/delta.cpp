@@ -95,15 +95,6 @@ struct DeltaMetric::RefCache {
     std::shared_ptr<const std::vector<double>> rows;
   };
 
-  /// One independently locked LRU list.  With a single shard (the
-  /// default) this is exactly the original PR 7 cache; the service's
-  /// shared mode splits the key space over several shards so concurrent
-  /// queries on different fields do not serialise on one mutex.
-  struct Shard {
-    mutable std::mutex mutex;
-    std::list<Entry> entries;  // Front = most recently used.
-  };
-
   /// The field's content key IS the cache key: parameter hashes for the
   /// analytic zoo (equal-parameter fields share entries), never-reused
   /// instance ids elsewhere, and FieldSlice folds its slice time in.
@@ -113,23 +104,12 @@ struct DeltaMetric::RefCache {
     return reference.content_key();
   }
 
-  explicit RefCache(std::size_t shard_count = 1) {
-    shards.reserve(shard_count > 0 ? shard_count : 1);
-    for (std::size_t s = 0; s < (shard_count > 0 ? shard_count : 1); ++s) {
-      shards.push_back(std::make_unique<Shard>());
-    }
-  }
-
-  /// Deterministic key -> shard map (Fibonacci multiplicative mix: the
-  /// content key's low bits can be structured, e.g. sequential instance
-  /// ids).
-  Shard& shard_for(Key key) const {
-    const std::uint64_t mixed = key * 0x9E3779B97F4A7C15ull;
-    return *shards[static_cast<std::size_t>(mixed >> 32) % shards.size()];
-  }
-
-  std::size_t capacity = kDefaultReferenceCacheCapacity;  // Per shard.
-  std::vector<std::unique_ptr<Shard>> shards;
+  std::size_t capacity = kDefaultReferenceCacheCapacity;
+  /// Guards `entries`.  Lookups are rare next to the sweeps they feed (one
+  /// per delta() or reference_lattice() call), so one lock serves the
+  /// service's concurrent queries too.
+  mutable std::mutex mutex;
+  std::list<Entry> entries;  // Front = most recently used.
 };
 
 DeltaMetric::DeltaMetric(const num::Rect& region, std::size_t resolution)
@@ -154,7 +134,7 @@ DeltaMetric& DeltaMetric::operator=(DeltaMetric&&) noexcept = default;
 DeltaMetric::DeltaMetric(const DeltaMetric& other)
     : region_(other.region_),
       resolution_(other.resolution_),
-      cache_(std::make_unique<RefCache>(other.cache_->shards.size())) {
+      cache_(std::make_unique<RefCache>()) {
   cache_->capacity = other.cache_->capacity;
 }
 
@@ -162,46 +142,29 @@ DeltaMetric& DeltaMetric::operator=(const DeltaMetric& other) {
   if (this == &other) return *this;
   region_ = other.region_;
   resolution_ = other.resolution_;
-  cache_ = std::make_unique<RefCache>(other.cache_->shards.size());
+  cache_ = std::make_unique<RefCache>();
   cache_->capacity = other.cache_->capacity;
   return *this;
 }
 
 void DeltaMetric::set_reference_cache_capacity(std::size_t max_entries) {
+  const std::lock_guard<std::mutex> lock(cache_->mutex);
   cache_->capacity = max_entries;
-  for (auto& shard : cache_->shards) {
-    const std::lock_guard<std::mutex> lock(shard->mutex);
-    while (shard->entries.size() > max_entries) shard->entries.pop_back();
-  }
+  while (cache_->entries.size() > max_entries) cache_->entries.pop_back();
 }
 
 std::size_t DeltaMetric::reference_cache_capacity() const noexcept {
   return cache_->capacity;
 }
 
-void DeltaMetric::set_reference_cache_shards(std::size_t shards) {
-  if (shards == 0) {
-    throw std::invalid_argument("DeltaMetric: reference cache shards == 0");
-  }
-  const std::size_t capacity = cache_->capacity;
-  cache_ = std::make_unique<RefCache>(shards);
-  cache_->capacity = capacity;
-}
-
 std::size_t DeltaMetric::reference_cache_size() const {
-  std::size_t total = 0;
-  for (const auto& shard : cache_->shards) {
-    const std::lock_guard<std::mutex> lock(shard->mutex);
-    total += shard->entries.size();
-  }
-  return total;
+  const std::lock_guard<std::mutex> lock(cache_->mutex);
+  return cache_->entries.size();
 }
 
 void DeltaMetric::clear_reference_cache() {
-  for (auto& shard : cache_->shards) {
-    const std::lock_guard<std::mutex> lock(shard->mutex);
-    shard->entries.clear();
-  }
+  const std::lock_guard<std::mutex> lock(cache_->mutex);
+  cache_->entries.clear();
 }
 
 std::shared_ptr<const std::vector<double>>
@@ -209,31 +172,31 @@ DeltaMetric::cached_reference_lattice(const field::Field& reference,
                                       const num::MidpointLattice& lat) const {
   if (cache_->capacity == 0) return nullptr;
   const RefCache::Key key = RefCache::key_for(reference);
-  RefCache::Shard& shard = cache_->shard_for(key);
+  std::list<RefCache::Entry>& entries = cache_->entries;
   {
-    const std::lock_guard<std::mutex> lock(shard.mutex);
-    for (auto it = shard.entries.begin(); it != shard.entries.end(); ++it) {
+    const std::lock_guard<std::mutex> lock(cache_->mutex);
+    for (auto it = entries.begin(); it != entries.end(); ++it) {
       if (it->key == key) {
-        shard.entries.splice(shard.entries.begin(), shard.entries, it);
+        entries.splice(entries.begin(), entries, it);
         CPS_COUNT("core.delta.ref_cache_hits", 1);
-        return shard.entries.front().rows;
+        return entries.front().rows;
       }
     }
   }
   CPS_COUNT("core.delta.ref_cache_misses", 1);
   // Fill outside the lock.
   auto rows = sample_lattice(reference, lat);
-  const std::lock_guard<std::mutex> lock(shard.mutex);
+  const std::lock_guard<std::mutex> lock(cache_->mutex);
   // A racing fill may have inserted the same key meanwhile; reuse it so
   // every caller shares one buffer.
-  for (auto it = shard.entries.begin(); it != shard.entries.end(); ++it) {
+  for (auto it = entries.begin(); it != entries.end(); ++it) {
     if (it->key == key) {
-      shard.entries.splice(shard.entries.begin(), shard.entries, it);
-      return shard.entries.front().rows;
+      entries.splice(entries.begin(), entries, it);
+      return entries.front().rows;
     }
   }
-  shard.entries.push_front(RefCache::Entry{key, rows});
-  while (shard.entries.size() > cache_->capacity) shard.entries.pop_back();
+  entries.push_front(RefCache::Entry{key, rows});
+  while (entries.size() > cache_->capacity) entries.pop_back();
   return rows;
 }
 
@@ -284,9 +247,9 @@ double DeltaMetric::delta_of_deployment(const field::Field& reference,
 
 double DeltaMetric::delta_between(const field::Field& a,
                                   const field::Field& b) const {
-  // Same lattice and accumulation order as num::integrate_midpoint (via
-  // the shared MidpointLattice), but row-parallel with batched sampling:
-  // fields are pure reads, chunk partials combine in order.
+  // The midpoint rule on the shared MidpointLattice, row-parallel with
+  // batched sampling: fields are pure reads, chunk partials combine in
+  // order.
   const num::MidpointLattice lat(region_, resolution_, resolution_);
   const std::span<const double> xs = lat.xs();
   const double sum = par::parallel_reduce(

@@ -45,8 +45,8 @@ class DeltaMetric {
   DeltaMetric(const num::Rect& region, std::size_t resolution = 100);
   ~DeltaMetric();
 
-  /// Copies share nothing: the copy starts with the same configuration
-  /// (cache capacity and shards) but an empty reference cache.
+  /// Copies share nothing: the copy starts with the same cache capacity
+  /// but an empty reference cache.
   DeltaMetric(const DeltaMetric& other);
   DeltaMetric& operator=(const DeltaMetric& other);
   DeltaMetric(DeltaMetric&&) noexcept;
@@ -66,22 +66,14 @@ class DeltaMetric {
   /// never be served to an unrelated field, unlike the PR 5 address-keyed
   /// cache this replaces.  Cached rows are the same bits value_row
   /// produces, so results are unchanged.  `max_entries` caps the LRU entry
-  /// count; 0 disables caching.
+  /// count; 0 disables caching.  Lookups and fills lock one mutex, so a
+  /// metric may be shared across threads (PlannerService does); set the
+  /// capacity before sharing it.
   void set_reference_cache_capacity(std::size_t max_entries);
   std::size_t reference_cache_capacity() const noexcept;
-  /// Entries currently held (for tests / benches), summed over shards.
+  /// Entries currently held (for tests / benches).
   std::size_t reference_cache_size() const;
   void clear_reference_cache();
-
-  /// Thread-safe shared mode (PlannerService): splits the cache's key
-  /// space over `shards` independently locked LRU lists so concurrent
-  /// queries on different fields do not serialise on one mutex.  1 (the
-  /// default) is the original single-mutex cache; in sharded mode
-  /// `max_entries` applies per shard.  Cached bits are unchanged —
-  /// sharding only changes lock granularity and eviction locality.
-  /// Clears the cache; configure before sharing the metric across
-  /// threads (not safe against concurrent lookups).  Throws on 0.
-  void set_reference_cache_shards(std::size_t shards);
 
   /// Volume between the referential field and a rebuilt surface.
   double delta(const field::Field& reference, const geo::Delaunay& dt) const;

@@ -29,9 +29,6 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// Reference-cache shards on the service's shared DeltaMetrics
-/// (DeltaMetric::set_reference_cache_shards).
-constexpr std::size_t kCacheShards = 8;
 /// Cached WhatIf base states kept (FIFO eviction).
 constexpr std::size_t kBaseStateCapacity = 8;
 
@@ -289,7 +286,6 @@ struct PlannerService::Impl {
     std::unique_ptr<DeltaMetric>& slot = metrics[key];
     if (slot == nullptr) {
       slot = std::make_unique<DeltaMetric>(region, resolution);
-      slot->set_reference_cache_shards(kCacheShards);
     }
     return *slot;  // Map nodes are stable; the metric itself never moves.
   }

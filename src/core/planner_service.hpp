@@ -17,7 +17,7 @@
 // (n, grain) chunks inline with partials combined in ascending order,
 // which is exactly what the direct top-level call does at any pool size.
 // Shared state never feeds back into results: field snapshots are
-// immutable, the sharded reference cache memoizes bit-identical buffers,
+// immutable, the reference cache memoizes bit-identical buffers,
 // and each WhatIf job mutates a private copy of the cached base
 // triangulation.  One rule bounds the contract: do not run concurrent
 // batches with the telemetry timeline armed (per-interval counter

@@ -67,11 +67,6 @@ std::vector<std::size_t> articulation_points(const GeometricGraph& g) {
   return out;
 }
 
-bool is_biconnected(const GeometricGraph& g) {
-  if (g.node_count() <= 2) return g.is_connected();
-  return g.is_connected() && articulation_points(g).empty();
-}
-
 std::size_t single_point_of_failure_count(const GeometricGraph& g) {
   return articulation_points(g).size();
 }

@@ -3,9 +3,8 @@
 // The paper's constraint is plain connectivity, but a deployment review
 // cares how *robust* that connectivity is: an articulation point is a
 // single node whose failure splits the network (the relay chains FRA
-// builds are full of them), and a biconnected topology survives any
-// single failure.  These helpers are used by the robustness tests and by
-// deployment-quality reporting in the examples/benches.
+// builds are full of them).  These helpers serve deployment-quality
+// reporting in the examples/benches.
 #pragma once
 
 #include <cstddef>
@@ -18,10 +17,6 @@ namespace cps::graph {
 /// Nodes whose removal increases the number of connected components
 /// (Tarjan/Hopcroft lowpoint algorithm, O(V + E)).  Sorted ascending.
 std::vector<std::size_t> articulation_points(const GeometricGraph& g);
-
-/// True when the graph is connected and has no articulation point
-/// (trivially true for <= 2 connected nodes).
-bool is_biconnected(const GeometricGraph& g);
 
 /// Number of nodes whose individual failure would disconnect some pair of
 /// surviving nodes — articulation count, the headline robustness figure.

@@ -93,24 +93,4 @@ std::vector<std::vector<std::size_t>> GeometricGraph::components() const {
   return groups;
 }
 
-std::vector<std::size_t> GeometricGraph::bfs_hops(std::size_t source) const {
-  constexpr auto kInf = std::numeric_limits<std::size_t>::max();
-  if (source >= positions_.size()) throw std::out_of_range("bfs_hops");
-  std::vector<std::size_t> dist(positions_.size(), kInf);
-  std::queue<std::size_t> frontier;
-  dist[source] = 0;
-  frontier.push(source);
-  while (!frontier.empty()) {
-    const std::size_t u = frontier.front();
-    frontier.pop();
-    for (const std::size_t v : adjacency_[u]) {
-      if (dist[v] == kInf) {
-        dist[v] = dist[u] + 1;
-        frontier.push(v);
-      }
-    }
-  }
-  return dist;
-}
-
 }  // namespace cps::graph

@@ -50,9 +50,6 @@ class GeometricGraph {
   /// Nodes grouped by component, ordered by label.
   std::vector<std::vector<std::size_t>> components() const;
 
-  /// BFS hop distances from `source` (SIZE_MAX for unreachable nodes).
-  std::vector<std::size_t> bfs_hops(std::size_t source) const;
-
  private:
   std::vector<geo::Vec2> positions_;
   std::vector<std::vector<std::size_t>> adjacency_;

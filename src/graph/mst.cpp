@@ -5,50 +5,6 @@
 
 namespace cps::graph {
 
-std::vector<MstEdge> prim_mst(std::span<const geo::Vec2> points) {
-  const std::size_t n = points.size();
-  std::vector<MstEdge> edges;
-  if (n <= 1) return edges;
-  edges.reserve(n - 1);
-
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  std::vector<bool> in_tree(n, false);
-  std::vector<double> best(n, kInf);
-  std::vector<std::size_t> parent(n, 0);
-
-  in_tree[0] = true;
-  for (std::size_t j = 1; j < n; ++j) {
-    best[j] = geo::distance_sq(points[0], points[j]);
-  }
-  for (std::size_t added = 1; added < n; ++added) {
-    std::size_t pick = n;
-    double pick_cost = kInf;
-    for (std::size_t j = 0; j < n; ++j) {
-      if (!in_tree[j] && best[j] < pick_cost) {
-        pick_cost = best[j];
-        pick = j;
-      }
-    }
-    in_tree[pick] = true;
-    edges.push_back(MstEdge{parent[pick], pick, std::sqrt(pick_cost)});
-    for (std::size_t j = 0; j < n; ++j) {
-      if (in_tree[j]) continue;
-      const double d2 = geo::distance_sq(points[pick], points[j]);
-      if (d2 < best[j]) {
-        best[j] = d2;
-        parent[j] = pick;
-      }
-    }
-  }
-  return edges;
-}
-
-double total_weight(std::span<const MstEdge> edges) {
-  double sum = 0.0;
-  for (const auto& e : edges) sum += e.weight;
-  return sum;
-}
-
 std::vector<GroupEdge> prim_group_mst(
     std::span<const std::vector<geo::Vec2>> groups) {
   const std::size_t n = groups.size();

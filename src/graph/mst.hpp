@@ -1,4 +1,4 @@
-// Minimum spanning trees over point sets (dense Prim).
+// Minimum spanning trees over groups of points (dense Prim).
 //
 // FRA's foresight step (Table 1) runs Prim over the connected components of
 // the partial deployment to decide the cheapest set of inter-component
@@ -12,21 +12,6 @@
 #include "geometry/vec2.hpp"
 
 namespace cps::graph {
-
-/// One MST edge between point indices, with its Euclidean weight.
-struct MstEdge {
-  std::size_t a = 0;
-  std::size_t b = 0;
-  double weight = 0.0;
-};
-
-/// Prim's algorithm over the complete Euclidean graph of `points`
-/// (O(n^2), dense representation).  Returns n-1 edges for n >= 1 points
-/// (empty for n <= 1).
-std::vector<MstEdge> prim_mst(std::span<const geo::Vec2> points);
-
-/// Total weight of an edge list.
-double total_weight(std::span<const MstEdge> edges);
 
 /// MST over *groups* of points: the distance between two groups is their
 /// closest-pair distance, and each returned edge records the closest pair

@@ -6,7 +6,7 @@
 namespace cps::graph {
 
 UnionFind::UnionFind(std::size_t n)
-    : parent_(n), rank_(n, 0), size_(n, 1), sets_(n) {
+    : parent_(n), rank_(n, 0) {
   std::iota(parent_.begin(), parent_.end(), std::size_t{0});
 }
 
@@ -26,16 +26,8 @@ bool UnionFind::unite(std::size_t a, std::size_t b) {
   if (ra == rb) return false;
   if (rank_[ra] < rank_[rb]) std::swap(ra, rb);
   parent_[rb] = ra;
-  size_[ra] += size_[rb];
   if (rank_[ra] == rank_[rb]) ++rank_[ra];
-  --sets_;
   return true;
 }
-
-bool UnionFind::connected(std::size_t a, std::size_t b) {
-  return find(a) == find(b);
-}
-
-std::size_t UnionFind::set_size(std::size_t x) { return size_[find(x)]; }
 
 }  // namespace cps::graph

@@ -18,19 +18,11 @@ class UnionFind {
   /// previously distinct.
   bool unite(std::size_t a, std::size_t b);
 
-  bool connected(std::size_t a, std::size_t b);
-
   std::size_t size() const noexcept { return parent_.size(); }
-  std::size_t set_count() const noexcept { return sets_; }
-
-  /// Size of the set containing x.
-  std::size_t set_size(std::size_t x);
 
  private:
   std::vector<std::size_t> parent_;
   std::vector<std::size_t> rank_;
-  std::vector<std::size_t> size_;
-  std::size_t sets_;
 };
 
 }  // namespace cps::graph

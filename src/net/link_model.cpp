@@ -16,8 +16,9 @@ DistanceLossLink::DistanceLossLink(double radius, double edge_loss,
       edge_loss_(edge_loss),
       exponent_(exponent),
       rng_(seed) {
-  if (!(radius > 0.0)) {
-    throw std::invalid_argument("DistanceLossLink: radius <= 0");
+  if (!(radius > 0.0) || !std::isfinite(radius)) {
+    throw std::invalid_argument(
+        "DistanceLossLink: radius not positive and finite");
   }
   if (!(edge_loss >= 0.0 && edge_loss <= 1.0)) {
     throw std::invalid_argument("DistanceLossLink: edge loss");
@@ -41,8 +42,9 @@ bool DistanceLossLink::transmit(NodeId, NodeId, geo::Vec2 from_pos,
 GilbertElliottLink::GilbertElliottLink(double radius, const Params& params,
                                        std::uint64_t seed)
     : radius_(radius), params_(params), rng_(seed) {
-  if (!(radius > 0.0)) {
-    throw std::invalid_argument("GilbertElliottLink: radius <= 0");
+  if (!(radius > 0.0) || !std::isfinite(radius)) {
+    throw std::invalid_argument(
+        "GilbertElliottLink: radius not positive and finite");
   }
   for (const double p : {params.p_good_to_bad, params.p_bad_to_good,
                          params.loss_good, params.loss_bad}) {

@@ -155,8 +155,8 @@ class DiskLink final : public LinkModel {
 /// very edge of the disk.  One RNG draw per in-range attempt.
 class DistanceLossLink final : public LinkModel {
  public:
-  /// radius > 0, edge_loss in [0, 1], exponent > 0; std::invalid_argument
-  /// otherwise.
+  /// radius > 0 and finite, edge_loss in [0, 1], exponent > 0;
+  /// std::invalid_argument otherwise.
   DistanceLossLink(double radius, double edge_loss, double exponent = 2.0,
                    std::uint64_t seed = 1);
 
@@ -205,8 +205,8 @@ class GilbertElliottLink final : public LinkModel {
     double loss_bad = 0.9;        ///< Loss probability in the bad state.
   };
 
-  /// radius > 0 and all probabilities in [0, 1]; std::invalid_argument
-  /// otherwise.  Links start in the good state.
+  /// radius > 0 and finite, all probabilities in [0, 1];
+  /// std::invalid_argument otherwise.  Links start in the good state.
   GilbertElliottLink(double radius, const Params& params,
                      std::uint64_t seed = 1);
 

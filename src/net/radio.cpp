@@ -1,5 +1,6 @@
 #include "net/radio.hpp"
 
+#include <cmath>
 #include <stdexcept>
 
 namespace cps::net {
@@ -7,7 +8,9 @@ namespace cps::net {
 DiskRadio::DiskRadio(double radius, double loss_probability,
                      std::uint64_t seed)
     : radius_(radius), loss_(loss_probability), rng_(seed) {
-  if (!(radius > 0.0)) throw std::invalid_argument("DiskRadio: radius <= 0");
+  if (!(radius > 0.0) || !std::isfinite(radius)) {
+    throw std::invalid_argument("DiskRadio: radius not positive and finite");
+  }
   if (!(loss_probability >= 0.0 && loss_probability <= 1.0)) {
     throw std::invalid_argument("DiskRadio: loss probability");
   }

@@ -15,8 +15,8 @@ namespace cps::net {
 /// Link-level model: deterministic disk connectivity with optional loss.
 class DiskRadio {
  public:
-  /// radius > 0, loss_probability in [0, 1]; std::invalid_argument
-  /// otherwise.
+  /// radius > 0 and finite, loss_probability in [0, 1];
+  /// std::invalid_argument otherwise.
   explicit DiskRadio(double radius, double loss_probability = 0.0,
                      std::uint64_t seed = 1);
 

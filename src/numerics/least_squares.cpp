@@ -1,66 +1,62 @@
 #include "numerics/least_squares.hpp"
 
+#include <array>
 #include <cmath>
+#include <cstddef>
 #include <stdexcept>
+#include <utility>
 
 namespace cps::num {
+namespace {
 
-std::vector<double> least_squares(const Matrix& a,
-                                  const std::vector<double>& b) {
-  const std::size_t m = a.rows();
-  const std::size_t n = a.cols();
-  if (b.size() != m) throw std::invalid_argument("least_squares: b size");
-  if (m < n) throw std::invalid_argument("least_squares: underdetermined");
+using Mat3 = std::array<double, 9>;  // Row-major.
+using Vec3 = std::array<double, 3>;
 
-  // Householder QR applied to [A | b] in place.
-  Matrix r = a;
-  std::vector<double> rhs = b;
-  for (std::size_t col = 0; col < n; ++col) {
-    double norm = 0.0;
-    for (std::size_t i = col; i < m; ++i) norm += r(i, col) * r(i, col);
-    norm = std::sqrt(norm);
-    if (norm < 1e-12) throw std::domain_error("least_squares: rank deficient");
-    const double alpha = r(col, col) > 0 ? -norm : norm;
-    std::vector<double> v(m - col);
-    v[0] = r(col, col) - alpha;
-    for (std::size_t i = col + 1; i < m; ++i) v[i - col] = r(i, col);
-    double vnorm2 = 0.0;
-    for (double x : v) vnorm2 += x * x;
-    if (vnorm2 < 1e-30) continue;  // Column already triangular.
-    // Apply H = I - 2 v v^T / (v^T v) to remaining columns and the RHS.
-    for (std::size_t c = col; c < n; ++c) {
-      double proj = 0.0;
-      for (std::size_t i = col; i < m; ++i) proj += v[i - col] * r(i, c);
-      proj = 2.0 * proj / vnorm2;
-      for (std::size_t i = col; i < m; ++i) r(i, c) -= proj * v[i - col];
+/// Solves a x = b by LU with partial pivoting: the first strictly largest
+/// |pivot| wins, rows (multipliers included) swap whole, and the RHS is
+/// read through the row permutation during forward substitution.  Throws
+/// std::domain_error when a column's best pivot is below 1e-300.
+Vec3 solve3(Mat3 a, const Vec3& b) {
+  const auto at = [&a](std::size_t r, std::size_t c) -> double& {
+    return a[r * 3 + c];
+  };
+  std::array<std::size_t, 3> perm{0, 1, 2};
+  for (std::size_t col = 0; col < 3; ++col) {
+    std::size_t pivot = col;
+    double best = std::abs(at(col, col));
+    for (std::size_t r = col + 1; r < 3; ++r) {
+      const double v = std::abs(at(r, col));
+      if (v > best) {
+        best = v;
+        pivot = r;
+      }
     }
-    double proj = 0.0;
-    for (std::size_t i = col; i < m; ++i) proj += v[i - col] * rhs[i];
-    proj = 2.0 * proj / vnorm2;
-    for (std::size_t i = col; i < m; ++i) rhs[i] -= proj * v[i - col];
+    if (best < 1e-300) throw std::domain_error("fit_quadric: singular");
+    if (pivot != col) {
+      for (std::size_t c = 0; c < 3; ++c) std::swap(at(col, c), at(pivot, c));
+      std::swap(perm[col], perm[pivot]);
+    }
+    for (std::size_t r = col + 1; r < 3; ++r) {
+      const double f = at(r, col) / at(col, col);
+      at(r, col) = f;
+      for (std::size_t c = col + 1; c < 3; ++c) at(r, c) -= f * at(col, c);
+    }
   }
-
-  std::vector<double> x(n);
-  for (std::size_t ii = n; ii-- > 0;) {
-    double s = rhs[ii];
-    for (std::size_t j = ii + 1; j < n; ++j) s -= r(ii, j) * x[j];
-    const double d = r(ii, ii);
-    if (std::abs(d) < 1e-12) {
-      throw std::domain_error("least_squares: rank deficient");
-    }
-    x[ii] = s / d;
+  Vec3 x{};
+  for (std::size_t i = 0; i < 3; ++i) {
+    double s = b[perm[i]];
+    for (std::size_t j = 0; j < i; ++j) s -= at(i, j) * x[j];
+    x[i] = s;
+  }
+  for (std::size_t ii = 3; ii-- > 0;) {
+    double s = x[ii];
+    for (std::size_t j = ii + 1; j < 3; ++j) s -= at(ii, j) * x[j];
+    x[ii] = s / at(ii, ii);
   }
   return x;
 }
 
-std::vector<double> least_squares_normal(const Matrix& a,
-                                         const std::vector<double>& b) {
-  if (b.size() != a.rows()) {
-    throw std::invalid_argument("least_squares_normal: b size");
-  }
-  const Matrix at = a.transposed();
-  return solve(at * a, at.apply(b));
-}
+}  // namespace
 
 double QuadricFit::g1() const noexcept {
   return a + c - std::sqrt((a - c) * (a - c) + b * b);
@@ -71,8 +67,6 @@ double QuadricFit::g2() const noexcept {
 }
 
 double QuadricFit::gaussian() const noexcept { return g1() * g2(); }
-
-double QuadricFit::mean() const noexcept { return a + c; }
 
 double QuadricFit::evaluate(double dx, double dy) const noexcept {
   return a * dx * dx + b * dx * dy + c * dy * dy;
@@ -85,21 +79,20 @@ QuadricFit fit_quadric(std::span<const QuadricSample> samples) {
   // Normal equations on the 3-parameter design; with a tiny ridge term the
   // 3x3 system is always solvable, and for well-posed designs the ridge
   // perturbs the result below measurement noise.
-  Matrix ata(3, 3, 0.0);
-  std::vector<double> atb(3, 0.0);
+  Mat3 ata{};
+  Vec3 atb{};
   for (const auto& s : samples) {
     const double row[3] = {s.dx * s.dx, s.dx * s.dy, s.dy * s.dy};
-    for (int i = 0; i < 3; ++i) {
-      for (int j = 0; j < 3; ++j) {
-        ata(static_cast<std::size_t>(i), static_cast<std::size_t>(j)) +=
-            row[i] * row[j];
-      }
-      atb[static_cast<std::size_t>(i)] += row[i] * s.dz;
+    for (std::size_t i = 0; i < 3; ++i) {
+      for (std::size_t j = 0; j < 3; ++j) ata[i * 3 + j] += row[i] * row[j];
+      atb[i] += row[i] * s.dz;
     }
   }
-  const double ridge = 1e-9 * (1.0 + ata.frobenius_norm());
-  for (std::size_t i = 0; i < 3; ++i) ata(i, i) += ridge;
-  const auto x = solve(std::move(ata), std::move(atb));
+  double sum_sq = 0.0;  // Frobenius norm, summed in row-major order.
+  for (const double v : ata) sum_sq += v * v;
+  const double ridge = 1e-9 * (1.0 + std::sqrt(sum_sq));
+  for (std::size_t i = 0; i < 3; ++i) ata[i * 3 + i] += ridge;
+  const Vec3 x = solve3(ata, atb);
   return QuadricFit{x[0], x[1], x[2]};
 }
 

@@ -1,5 +1,5 @@
-// Overdetermined least-squares solvers and the quadric surface fit used by
-// the paper's curvature estimator (Section 5.2, Eqn. 11).
+// The quadric surface fit used by the paper's curvature estimator
+// (Section 5.2, Eqn. 11).
 //
 // The m nearest-neighbours method fits z = a x^2 + b x y + c y^2 to samples
 // expressed in node-local coordinates; principal curvatures follow from
@@ -7,26 +7,8 @@
 #pragma once
 
 #include <span>
-#include <vector>
-
-#include "numerics/linalg.hpp"
 
 namespace cps::num {
-
-/// Solves min ||A x - b||_2 for a tall (rows >= cols) design matrix.
-///
-/// Uses Householder QR, which is numerically safer than normal equations
-/// for the mildly ill-conditioned designs produced by clustered samples.
-/// Throws std::invalid_argument on dimension mismatch and std::domain_error
-/// when A is rank-deficient to working precision.
-std::vector<double> least_squares(const Matrix& a,
-                                  const std::vector<double>& b);
-
-/// Solves via the normal equations A^T A x = A^T b.  Faster for the tiny
-/// 3-column systems in the curvature path; kept public for benchmarking the
-/// trade-off (see bench_micro_substrate).
-std::vector<double> least_squares_normal(const Matrix& a,
-                                         const std::vector<double>& b);
 
 /// One sample for the quadric fit, in coordinates local to the fitting node
 /// (dx = x - x0, dy = y - y0, dz = z - z0).
@@ -50,18 +32,15 @@ struct QuadricFit {
   /// Gaussian curvature G = g1 * g2.
   double gaussian() const noexcept;
 
-  /// Mean curvature (g1 + g2) / 2 = a + c; used by ablations.
-  double mean() const noexcept;
-
   /// Evaluates the fitted quadric at local offset (dx, dy).
   double evaluate(double dx, double dy) const noexcept;
 };
 
 /// Fits the quadric to >= 3 samples (paper: m = floor(pi Rs^2) grid samples
-/// inside the sensing disk).  Throws std::invalid_argument with fewer than
-/// 3 samples; falls back to a tiny ridge term when the design is singular
-/// (all samples collinear through the origin), so the caller always gets a
-/// finite fit.
+/// inside the sensing disk) by solving the 3x3 normal equations.  Throws
+/// std::invalid_argument with fewer than 3 samples; adds a tiny ridge term
+/// so a singular design (all samples collinear through the origin) still
+/// gives a finite fit.
 QuadricFit fit_quadric(std::span<const QuadricSample> samples);
 
 }  // namespace cps::num

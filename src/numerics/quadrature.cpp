@@ -5,18 +5,6 @@
 #include "parallel/simd.hpp"
 
 namespace cps::num {
-namespace {
-
-void validate(const Rect& rect, std::size_t nx, std::size_t ny) {
-  if (nx == 0 || ny == 0) {
-    throw std::invalid_argument("integrate: zero cells");
-  }
-  if (rect.x1 < rect.x0 || rect.y1 < rect.y0) {
-    throw std::invalid_argument("integrate: inverted rect");
-  }
-}
-
-}  // namespace
 
 MidpointLattice::MidpointLattice(const Rect& rect, std::size_t nx,
                                  std::size_t ny)
@@ -24,58 +12,18 @@ MidpointLattice::MidpointLattice(const Rect& rect, std::size_t nx,
       hx_(rect.width() / static_cast<double>(nx)),
       hy_(rect.height() / static_cast<double>(ny)),
       ny_(ny) {
-  validate(rect, nx, ny);
+  if (nx == 0 || ny == 0) {
+    throw std::invalid_argument("MidpointLattice: zero cells");
+  }
+  if (rect.x1 < rect.x0 || rect.y1 < rect.y0) {
+    throw std::invalid_argument("MidpointLattice: inverted rect");
+  }
   xs_.resize(nx);
   double* xs = xs_.data();
   CPS_SIMD
   for (std::size_t i = 0; i < nx; ++i) {
     xs[i] = rect.x0 + (static_cast<double>(i) + 0.5) * hx_;
   }
-}
-
-double integrate_midpoint_rows(const Rect& rect, const RowFn& row,
-                               std::size_t nx, std::size_t ny) {
-  const MidpointLattice lat(rect, nx, ny);
-  std::vector<double> buf(nx);
-  double sum = 0.0;
-  for (std::size_t j = 0; j < ny; ++j) {
-    row(lat.y(j), lat.xs(), buf.data());
-    // Serial accumulation, deliberately: a vectorized reduction would
-    // re-associate the sum and change the result's bits.  The row
-    // evaluation above is where the SIMD kernels earn their keep.
-    for (std::size_t i = 0; i < nx; ++i) sum += buf[i];
-  }
-  return sum * lat.hx() * lat.hy();
-}
-
-double integrate_midpoint(const Rect& rect,
-                          const std::function<double(double, double)>& g,
-                          std::size_t nx, std::size_t ny) {
-  return integrate_midpoint_rows(
-      rect,
-      [&](double y, std::span<const double> xs, double* out) {
-        for (std::size_t i = 0; i < xs.size(); ++i) out[i] = g(xs[i], y);
-      },
-      nx, ny);
-}
-
-double integrate_trapezoid(const Rect& rect,
-                           const std::function<double(double, double)>& g,
-                           std::size_t nx, std::size_t ny) {
-  validate(rect, nx, ny);
-  const double hx = rect.width() / static_cast<double>(nx);
-  const double hy = rect.height() / static_cast<double>(ny);
-  double sum = 0.0;
-  for (std::size_t j = 0; j <= ny; ++j) {
-    const double y = rect.y0 + static_cast<double>(j) * hy;
-    const double wy = (j == 0 || j == ny) ? 0.5 : 1.0;
-    for (std::size_t i = 0; i <= nx; ++i) {
-      const double x = rect.x0 + static_cast<double>(i) * hx;
-      const double wx = (i == 0 || i == nx) ? 0.5 : 1.0;
-      sum += wx * wy * g(x, y);
-    }
-  }
-  return sum * hx * hy;
 }
 
 }  // namespace cps::num

@@ -1,10 +1,10 @@
-// 2-D quadrature over rectangular regions.  Used by the delta metric
-// (Theorem 3.1: the volume difference between the referential and rebuilt
-// surface polytopes reduces to the integral of |f - DT| over the region).
+// The midpoint-rule lattice over rectangular regions.  Used by the delta
+// metric (Theorem 3.1: the volume difference between the referential and
+// rebuilt surface polytopes reduces to the integral of |f - DT| over the
+// region, which delta evaluates by the midpoint rule on this lattice).
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -27,11 +27,10 @@ struct Rect {
 
 /// The midpoint-rule evaluation lattice over a rect: cell midpoints
 /// x_i = x0 + (i + 0.5) hx, y_j = y0 + (j + 0.5) hy.  One definition shared
-/// by integrate_midpoint and the delta metric so their grids are the same
-/// bits — the abscissae are precomputed once per lattice and handed to
-/// batched row kernels (field::Field::value_row) instead of being
-/// re-derived per row.  Throws std::invalid_argument when nx or ny is zero
-/// or the rect is inverted.
+/// by every delta sweep so their grids are the same bits — the abscissae
+/// are precomputed once per lattice and handed to batched row kernels
+/// (field::Field::value_row) instead of being re-derived per row.  Throws
+/// std::invalid_argument when nx or ny is zero or the rect is inverted.
 class MidpointLattice {
  public:
   MidpointLattice(const Rect& rect, std::size_t nx, std::size_t ny);
@@ -56,30 +55,5 @@ class MidpointLattice {
   std::size_t ny_ = 0;
   std::vector<double> xs_;
 };
-
-/// Fills out[i] with the integrand at (xs[i], y); out holds xs.size() slots.
-using RowFn =
-    std::function<void(double y, std::span<const double> xs, double* out)>;
-
-/// Midpoint-rule integration driven by a batched row evaluator: each lattice
-/// row is filled by one `row` call, then accumulated left to right — the
-/// same accumulation order as integrate_midpoint, so the two agree bitwise
-/// for integrands evaluated identically.
-double integrate_midpoint_rows(const Rect& rect, const RowFn& row,
-                               std::size_t nx, std::size_t ny);
-
-/// Midpoint-rule integration of g over `rect` on an nx x ny cell grid.
-/// Error is O(h^2) for C^2 integrands; for the |f - DT| integrands used by
-/// the delta metric (piecewise C^1) it converges O(h) near kinks, which the
-/// convergence tests characterise.  Throws std::invalid_argument when nx or
-/// ny is zero or the rect is inverted.
-double integrate_midpoint(const Rect& rect,
-                          const std::function<double(double, double)>& g,
-                          std::size_t nx, std::size_t ny);
-
-/// Trapezoid-rule integration on the same grid (samples cell corners).
-double integrate_trapezoid(const Rect& rect,
-                           const std::function<double(double, double)>& g,
-                           std::size_t nx, std::size_t ny);
 
 }  // namespace cps::num

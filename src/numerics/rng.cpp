@@ -77,8 +77,4 @@ double Rng::normal(double mean, double sigma) noexcept {
 
 bool Rng::bernoulli(double p) noexcept { return uniform() < p; }
 
-Rng Rng::fork(std::uint64_t tag) noexcept {
-  return Rng(next_u64() ^ (tag * 0xd1342543de82ef95ULL + 0x2545f4914f6cdd1dULL));
-}
-
 }  // namespace cps::num

@@ -8,15 +8,10 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 namespace cps::num {
 
 /// Deterministic 64-bit PRNG (xoshiro256**) with convenience samplers.
-///
-/// Copyable and cheap to fork: `fork(tag)` derives an independent stream,
-/// which lets concurrent subsystems (e.g. per-node jitter) stay reproducible
-/// regardless of call interleaving.
 class Rng {
  public:
   /// Seeds the state via splitmix64 so that nearby seeds give unrelated
@@ -43,21 +38,6 @@ class Rng {
 
   /// True with probability p (clamped to [0, 1]).
   bool bernoulli(double p) noexcept;
-
-  /// Derives an independent generator; streams with different tags do not
-  /// overlap in practice (distinct splitmix64 seeding paths).
-  Rng fork(std::uint64_t tag) noexcept;
-
-  /// Fisher-Yates shuffle.
-  template <typename T>
-  void shuffle(std::vector<T>& v) noexcept {
-    for (std::size_t i = v.size(); i > 1; --i) {
-      const auto j = static_cast<std::size_t>(
-          uniform_int(0, static_cast<std::int64_t>(i) - 1));
-      using std::swap;
-      swap(v[i - 1], v[j]);
-    }
-  }
 
  private:
   std::uint64_t s_[4];

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
 
 namespace cps::num {
 
@@ -20,73 +19,6 @@ double RunningStats::variance() const noexcept {
 }
 
 double RunningStats::stddev() const noexcept { return std::sqrt(variance()); }
-
-void RunningStats::merge(const RunningStats& other) noexcept {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const double total = static_cast<double>(n_ + other.n_);
-  const double d = other.mean_ - mean_;
-  m2_ += other.m2_ +
-         d * d * static_cast<double>(n_) * static_cast<double>(other.n_) /
-             total;
-  mean_ += d * static_cast<double>(other.n_) / total;
-  n_ += other.n_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
-double percentile(std::span<const double> data, double p) {
-  if (data.empty()) throw std::invalid_argument("percentile: empty");
-  if (p < 0.0 || p > 100.0) throw std::invalid_argument("percentile: range");
-  std::vector<double> v(data.begin(), data.end());
-  std::sort(v.begin(), v.end());
-  const double idx = p / 100.0 * static_cast<double>(v.size() - 1);
-  const auto lo = static_cast<std::size_t>(idx);
-  const std::size_t hi = std::min(lo + 1, v.size() - 1);
-  const double frac = idx - static_cast<double>(lo);
-  return v[lo] * (1.0 - frac) + v[hi] * frac;
-}
-
-double mean(std::span<const double> data) {
-  if (data.empty()) throw std::invalid_argument("mean: empty");
-  double s = 0.0;
-  for (double x : data) s += x;
-  return s / static_cast<double>(data.size());
-}
-
-double rmse(std::span<const double> a, std::span<const double> b) {
-  if (a.size() != b.size() || a.empty()) {
-    throw std::invalid_argument("rmse: size mismatch or empty");
-  }
-  double s = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    const double d = a[i] - b[i];
-    s += d * d;
-  }
-  return std::sqrt(s / static_cast<double>(a.size()));
-}
-
-double pearson(std::span<const double> a, std::span<const double> b) {
-  if (a.size() != b.size()) throw std::invalid_argument("pearson: size");
-  if (a.size() < 2) throw std::invalid_argument("pearson: n < 2");
-  const double ma = mean(a);
-  const double mb = mean(b);
-  double sab = 0.0;
-  double saa = 0.0;
-  double sbb = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    sab += (a[i] - ma) * (b[i] - mb);
-    saa += (a[i] - ma) * (a[i] - ma);
-    sbb += (b[i] - mb) * (b[i] - mb);
-  }
-  if (saa == 0.0 || sbb == 0.0) {
-    throw std::invalid_argument("pearson: zero variance");
-  }
-  return sab / std::sqrt(saa * sbb);
-}
 
 std::size_t convergence_index(std::span<const double> data, double tolerance) {
   if (data.empty()) return 0;

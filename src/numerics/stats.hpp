@@ -1,10 +1,10 @@
-// Streaming and batch statistics used by benches and trace analysis.
+// Streaming statistics and the convergence slot, used by benches and trace
+// analysis.
 #pragma once
 
 #include <cstddef>
 #include <limits>
 #include <span>
-#include <vector>
 
 namespace cps::num {
 
@@ -25,9 +25,6 @@ class RunningStats {
   double min() const noexcept { return min_; }
   double max() const noexcept { return max_; }
 
-  /// Merges another accumulator (parallel Welford combine).
-  void merge(const RunningStats& other) noexcept;
-
  private:
   std::size_t n_ = 0;
   double mean_ = 0.0;
@@ -35,20 +32,6 @@ class RunningStats {
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
 };
-
-/// Percentile by linear interpolation on a copy of the data (p in [0, 100]).
-/// Throws std::invalid_argument when data is empty or p out of range.
-double percentile(std::span<const double> data, double p);
-
-/// Arithmetic mean; throws std::invalid_argument when empty.
-double mean(std::span<const double> data);
-
-/// Root-mean-square error between two equally sized series.
-double rmse(std::span<const double> a, std::span<const double> b);
-
-/// Pearson correlation coefficient; throws on size mismatch / n < 2 /
-/// zero-variance inputs.
-double pearson(std::span<const double> a, std::span<const double> b);
 
 /// Index of the first element from which the series stays within
 /// `tolerance` (relative to the final value) until the end — the

@@ -245,11 +245,11 @@ TEST(Cma, TimeVaryingEnvironmentTracksChange) {
 }
 
 TEST(Cma, LossyRadioStillKeepsNetworkTogether) {
-  CmaConfig cfg = config_for_grid(25);
-  cfg.packet_loss = 0.2;
+  const CmaConfig cfg = config_for_grid(25);
   const auto env = static_env();
   CmaSimulation sim(env, kRegion, GridPlanner::make_grid(kRegion, 25).positions,
                     cfg);
+  sim.set_link_model(std::make_unique<net::DiskLink>(cfg.rc, 0.2, 7));
   sim.run(25);
   EXPECT_TRUE(sim.is_connected());
 }

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -47,6 +48,29 @@ TEST(CmaFaults, ConfigValidatesNeighborTtl) {
                std::invalid_argument);
 }
 
+TEST(CmaFaults, ConfigRejectsInfiniteAndNonPositiveParameters) {
+  // An infinite length or time passes `x > 0` but reaches the sensing
+  // lattice's and the tiling's integer casts.  A bad sensing pitch is
+  // refused at construction, not at the first sense.
+  const auto env = static_env();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double CmaConfig::*field :
+       {&CmaConfig::rs, &CmaConfig::rc, &CmaConfig::sample_spacing,
+        &CmaConfig::velocity, &CmaConfig::dt, &CmaConfig::force_gain}) {
+    CmaConfig bad = fast_config();
+    bad.*field = inf;
+    EXPECT_THROW(CmaSimulation(env, kRegion, small_grid(), bad),
+                 std::invalid_argument);
+  }
+  for (const double spacing :
+       {0.0, -1.0, std::numeric_limits<double>::quiet_NaN()}) {
+    CmaConfig bad = fast_config();
+    bad.sample_spacing = spacing;
+    EXPECT_THROW(CmaSimulation(env, kRegion, small_grid(), bad),
+                 std::invalid_argument);
+  }
+}
+
 TEST(CmaFaults, ScheduleValidatesNodeIndices) {
   const auto env = static_env();
   CmaSimulation sim(env, kRegion, small_grid(), fast_config());
@@ -60,9 +84,7 @@ TEST(CmaFaults, EmptyScheduleIsBitIdenticalToBaseline) {
   CmaSimulation plain(env, kRegion, small_grid(), fast_config());
   CmaSimulation faulted(env, kRegion, small_grid(), fast_config());
   faulted.set_fault_schedule(net::FaultSchedule{});
-  faulted.set_link_model(
-      std::make_unique<net::DiskLink>(fast_config().rc, 0.0,
-                                      fast_config().seed));
+  faulted.set_link_model(std::make_unique<net::DiskLink>(fast_config().rc));
   plain.run(10);
   faulted.run(10);
   ASSERT_EQ(plain.positions().size(), faulted.positions().size());

@@ -191,6 +191,13 @@ TEST(CmaTiles, ShardGridValidatesParameters) {
   EXPECT_THROW(ShardGrid(kRegion, 20.0, -1.0), std::invalid_argument);
 }
 
+TEST(CmaTiles, ShardGridRejectsMoreTilesThanItsIdsHold) {
+  // Tile ids are uint32_t: 1e5 x 1e5 tiles, or the ~1e302 x 1e302 a tiny
+  // ghost width asks for, must be refused before any integer cast.
+  EXPECT_THROW(ShardGrid(kRegion, 1e-3, 1e-3), std::invalid_argument);
+  EXPECT_THROW(ShardGrid(kRegion, 1e-300, 1e-300), std::invalid_argument);
+}
+
 TEST(CmaTiles, ShardGridRejectsRadiusBeyondGhost) {
   ShardGrid grid(kRegion, 20.0, 5.0);
   const std::vector<geo::Vec2> pts = scatter(8, 4);

@@ -36,6 +36,26 @@ TEST(SensingPatch, Validation) {
   EXPECT_EQ(rejected_as(5.0, nan), "SensingPatch: spacing");
 }
 
+TEST(SensingPatch, RejectsALatticeItsIndexCannotAddress) {
+  // The lattice has side 2 floor(radius / spacing) + 1 and an int index
+  // over side^2 cells: a ratio above 23169 (or an infinite radius) is
+  // rejected before any integer cast or allocation.
+  const field::ConstantField f(0.0);
+  const auto rejected_as = [&](double radius, double spacing) {
+    try {
+      SensingPatch(f, {0.0, 0.0}, radius, spacing);
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("accepted");
+  };
+  const std::string too_large = "SensingPatch: disk too large for its lattice";
+  EXPECT_EQ(rejected_as(23170.0, 1.0), too_large);
+  EXPECT_EQ(rejected_as(1.0, 1e-12), too_large);
+  EXPECT_EQ(rejected_as(std::numeric_limits<double>::infinity(), 1.0),
+            too_large);
+}
+
 TEST(SensingPatch, SampleCountApproximatesDiskArea) {
   // The paper's m = floor(pi Rs^2): lattice points in the disk track the
   // area (Gauss circle problem, within a few percent at Rs = 5).

@@ -85,17 +85,6 @@ TEST(GeometricGraph, ChainIsConnected) {
   EXPECT_EQ(g.component_count(), 1u);
 }
 
-TEST(GeometricGraph, BfsHopsAlongChain) {
-  std::vector<Vec2> pts;
-  for (int i = 0; i < 5; ++i) pts.push_back({i * 10.0, 0.0});
-  pts.push_back({200.0, 0.0});  // Unreachable.
-  const GeometricGraph g(pts, 10.0);
-  const auto hops = g.bfs_hops(0);
-  for (std::size_t i = 0; i < 5; ++i) EXPECT_EQ(hops[i], i);
-  EXPECT_EQ(hops[5], std::numeric_limits<std::size_t>::max());
-  EXPECT_THROW(g.bfs_hops(99), std::out_of_range);
-}
-
 TEST(GeometricGraph, GridPitchEqualRadiusIsConnected) {
   // The CMA initial state: 10 x 10 grid, 10 m pitch, Rc = 10.
   std::vector<Vec2> pts;
@@ -111,7 +100,25 @@ TEST(GeometricGraph, GridPitchEqualRadiusIsConnected) {
   EXPECT_EQ(g.degree(11), 4u);
 }
 
-// Property: component labels agree with pairwise reachability via BFS.
+// Nodes reachable from `source` over neighbors() (a depth-first walk).
+std::vector<bool> reachable_from(const GeometricGraph& g, std::size_t source) {
+  std::vector<bool> seen(g.node_count(), false);
+  std::vector<std::size_t> frontier{source};
+  seen[source] = true;
+  while (!frontier.empty()) {
+    const std::size_t u = frontier.back();
+    frontier.pop_back();
+    for (const std::size_t v : g.neighbors(u)) {
+      if (!seen[v]) {
+        seen[v] = true;
+        frontier.push_back(v);
+      }
+    }
+  }
+  return seen;
+}
+
+// Property: component labels agree with reachability from node 0.
 class GeometricGraphRandomSweep : public ::testing::TestWithParam<double> {};
 
 TEST_P(GeometricGraphRandomSweep, LabelsMatchReachability) {
@@ -123,10 +130,9 @@ TEST_P(GeometricGraphRandomSweep, LabelsMatchReachability) {
   }
   const GeometricGraph g(pts, radius);
   const auto labels = g.component_labels();
-  const auto hops = g.bfs_hops(0);
-  constexpr auto kInf = std::numeric_limits<std::size_t>::max();
+  const auto reached = reachable_from(g, 0);
   for (std::size_t i = 0; i < pts.size(); ++i) {
-    EXPECT_EQ(labels[i] == labels[0], hops[i] != kInf) << "node " << i;
+    EXPECT_EQ(labels[i] == labels[0], reached[i]) << "node " << i;
   }
 }
 

@@ -1,10 +1,10 @@
-// Tests for Prim MSTs (graph/mst.hpp).
+// Tests for the group Prim MST (graph/mst.hpp).
 #include "graph/mst.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <numeric>
+#include <cmath>
 
 #include "graph/union_find.hpp"
 #include "numerics/rng.hpp"
@@ -14,36 +14,41 @@ namespace {
 
 using geo::Vec2;
 
-TEST(PrimMst, TrivialSizes) {
-  EXPECT_TRUE(prim_mst(std::vector<Vec2>{}).empty());
-  EXPECT_TRUE(prim_mst(std::vector<Vec2>{{1.0, 1.0}}).empty());
+// One group per point: the group MST is then the Euclidean MST of the
+// points, with group indices as point indices.
+std::vector<std::vector<Vec2>> singletons(const std::vector<Vec2>& pts) {
+  std::vector<std::vector<Vec2>> groups;
+  for (const Vec2& p : pts) groups.push_back({p});
+  return groups;
+}
+
+double total_distance(const std::vector<GroupEdge>& edges) {
+  double sum = 0.0;
+  for (const auto& e : edges) sum += e.distance;
+  return sum;
 }
 
 TEST(PrimMst, TwoPoints) {
-  const std::vector<Vec2> pts{{0.0, 0.0}, {3.0, 4.0}};
-  const auto edges = prim_mst(pts);
+  const auto edges = prim_group_mst(singletons({{0.0, 0.0}, {3.0, 4.0}}));
   ASSERT_EQ(edges.size(), 1u);
-  EXPECT_DOUBLE_EQ(edges[0].weight, 5.0);
-  EXPECT_DOUBLE_EQ(total_weight(edges), 5.0);
+  EXPECT_DOUBLE_EQ(edges[0].distance, 5.0);
 }
 
 TEST(PrimMst, CollinearChain) {
   // MST of collinear points is the chain of consecutive segments.
-  const std::vector<Vec2> pts{{0.0, 0.0}, {10.0, 0.0}, {1.0, 0.0},
-                              {5.0, 0.0}};
-  const auto edges = prim_mst(pts);
+  const auto edges = prim_group_mst(
+      singletons({{0.0, 0.0}, {10.0, 0.0}, {1.0, 0.0}, {5.0, 0.0}}));
   ASSERT_EQ(edges.size(), 3u);
-  EXPECT_NEAR(total_weight(edges), 10.0, 1e-12);
+  EXPECT_NEAR(total_distance(edges), 10.0, 1e-12);
 }
 
 TEST(PrimMst, KnownSquarePlusCenter) {
   // Unit square + centre: MST connects each corner to the centre
   // (4 * sqrt(0.5) ~ 2.828 < any tree using square edges).
-  const std::vector<Vec2> pts{{0.0, 0.0}, {1.0, 0.0}, {1.0, 1.0},
-                              {0.0, 1.0}, {0.5, 0.5}};
-  const auto edges = prim_mst(pts);
+  const auto edges = prim_group_mst(singletons(
+      {{0.0, 0.0}, {1.0, 0.0}, {1.0, 1.0}, {0.0, 1.0}, {0.5, 0.5}}));
   ASSERT_EQ(edges.size(), 4u);
-  EXPECT_NEAR(total_weight(edges), 4.0 * std::sqrt(0.5), 1e-12);
+  EXPECT_NEAR(total_distance(edges), 4.0 * std::sqrt(0.5), 1e-12);
 }
 
 TEST(PrimMst, SpansAllNodes) {
@@ -52,11 +57,13 @@ TEST(PrimMst, SpansAllNodes) {
   for (int i = 0; i < 40; ++i) {
     pts.push_back({rng.uniform(0.0, 50.0), rng.uniform(0.0, 50.0)});
   }
-  const auto edges = prim_mst(pts);
+  const auto edges = prim_group_mst(singletons(pts));
   ASSERT_EQ(edges.size(), pts.size() - 1);
   UnionFind uf(pts.size());
-  for (const auto& e : edges) uf.unite(e.a, e.b);
-  EXPECT_EQ(uf.set_count(), 1u);
+  for (const auto& e : edges) EXPECT_TRUE(uf.unite(e.group_a, e.group_b));
+  for (std::size_t i = 1; i < pts.size(); ++i) {
+    EXPECT_EQ(uf.find(i), uf.find(0));
+  }
 }
 
 TEST(PrimMst, CutPropertyOnRandomInstances) {
@@ -67,21 +74,22 @@ TEST(PrimMst, CutPropertyOnRandomInstances) {
   for (int i = 0; i < 12; ++i) {
     pts.push_back({rng.uniform(0.0, 10.0), rng.uniform(0.0, 10.0)});
   }
-  const auto edges = prim_mst(pts);
+  const auto edges = prim_group_mst(singletons(pts));
+  ASSERT_EQ(edges.size(), pts.size() - 1);
   for (std::size_t skip = 0; skip < edges.size(); ++skip) {
     UnionFind uf(pts.size());
     for (std::size_t e = 0; e < edges.size(); ++e) {
-      if (e != skip) uf.unite(edges[e].a, edges[e].b);
+      if (e != skip) uf.unite(edges[e].group_a, edges[e].group_b);
     }
     // Minimum crossing weight of the induced cut.
     double best = 1e300;
     for (std::size_t i = 0; i < pts.size(); ++i) {
       for (std::size_t j = i + 1; j < pts.size(); ++j) {
-        if (uf.connected(i, j)) continue;
+        if (uf.find(i) == uf.find(j)) continue;
         best = std::min(best, geo::distance(pts[i], pts[j]));
       }
     }
-    EXPECT_NEAR(edges[skip].weight, best, 1e-9) << "edge " << skip;
+    EXPECT_NEAR(edges[skip].distance, best, 1e-9) << "edge " << skip;
   }
 }
 

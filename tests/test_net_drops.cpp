@@ -154,7 +154,7 @@ TEST(DropCounters, CmaFaultRunDecomposesExactly) {
                           cfg);
   sim.set_fault_schedule(
       FaultSchedule::random_deaths(nodes.size(), 0.4, 2, 10, 7));
-  sim.set_link_model(std::make_unique<DiskLink>(cfg.rc, 0.1, cfg.seed));
+  sim.set_link_model(std::make_unique<DiskLink>(cfg.rc, 0.1, 7));
   sim.run(15);
 
   const DropCounts c = DropCounts::read();

@@ -170,6 +170,17 @@ TEST(GilbertElliottLink, Validation) {
   }
 }
 
+TEST(LinkModels, RejectInfiniteRadius) {
+  // An infinite radius passes `radius > 0` but makes every pair in range
+  // and reaches the tiling's integer casts downstream.
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(DiskRadio{inf}, std::invalid_argument);
+  EXPECT_THROW(DiskLink{inf}, std::invalid_argument);
+  EXPECT_THROW(DistanceLossLink(inf, 0.5), std::invalid_argument);
+  EXPECT_THROW(GilbertElliottLink(inf, GilbertElliottLink::Params{}),
+               std::invalid_argument);
+}
+
 TEST(GilbertElliottLink, LossesComeInBursts) {
   // With slow state transitions and extreme per-state loss rates, the
   // outcome sequence must be far more "runny" than an i.i.d. channel of

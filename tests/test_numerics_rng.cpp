@@ -3,9 +3,7 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <set>
-#include <vector>
 
 namespace cps::num {
 namespace {
@@ -119,45 +117,6 @@ TEST(Rng, BernoulliExtremes) {
     EXPECT_FALSE(r.bernoulli(0.0));
     EXPECT_TRUE(r.bernoulli(1.0));
   }
-}
-
-TEST(Rng, ForkedStreamsAreIndependent) {
-  Rng parent(31);
-  Rng a = parent.fork(1);
-  Rng b = parent.fork(2);
-  int same = 0;
-  for (int i = 0; i < 100; ++i) {
-    if (a.next_u64() == b.next_u64()) ++same;
-  }
-  EXPECT_EQ(same, 0);
-}
-
-TEST(Rng, ShuffleIsPermutation) {
-  Rng r(37);
-  std::vector<int> v{1, 2, 3, 4, 5, 6, 7, 8, 9, 10};
-  auto sorted = v;
-  r.shuffle(v);
-  std::sort(v.begin(), v.end());
-  EXPECT_EQ(v, sorted);
-}
-
-TEST(Rng, ShuffleActuallyShuffles) {
-  Rng r(41);
-  std::vector<int> v(100);
-  for (int i = 0; i < 100; ++i) v[static_cast<std::size_t>(i)] = i;
-  const auto before = v;
-  r.shuffle(v);
-  EXPECT_NE(v, before);
-}
-
-TEST(Rng, ShuffleHandlesEmptyAndSingle) {
-  Rng r(43);
-  std::vector<int> empty;
-  std::vector<int> one{5};
-  r.shuffle(empty);
-  r.shuffle(one);
-  EXPECT_TRUE(empty.empty());
-  EXPECT_EQ(one, std::vector<int>{5});
 }
 
 // Parameterized: the uniform mean stays centred for any seed.

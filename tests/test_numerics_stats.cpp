@@ -6,7 +6,6 @@
 #include <cmath>
 #include <vector>
 
-#include "numerics/rng.hpp"
 
 namespace cps::num {
 namespace {
@@ -41,90 +40,6 @@ TEST(RunningStats, SingleSampleVarianceIsZero) {
   s.add(3.0);
   EXPECT_DOUBLE_EQ(s.variance(), 0.0);
   EXPECT_DOUBLE_EQ(s.mean(), 3.0);
-}
-
-TEST(RunningStats, MergeEqualsSequential) {
-  Rng rng(3);
-  RunningStats whole;
-  RunningStats left;
-  RunningStats right;
-  for (int i = 0; i < 1000; ++i) {
-    const double x = rng.normal(2.0, 3.0);
-    whole.add(x);
-    (i < 400 ? left : right).add(x);
-  }
-  left.merge(right);
-  EXPECT_EQ(left.count(), whole.count());
-  EXPECT_NEAR(left.mean(), whole.mean(), 1e-10);
-  EXPECT_NEAR(left.variance(), whole.variance(), 1e-8);
-  EXPECT_DOUBLE_EQ(left.min(), whole.min());
-  EXPECT_DOUBLE_EQ(left.max(), whole.max());
-}
-
-TEST(RunningStats, MergeWithEmptyIsIdentity) {
-  RunningStats a;
-  a.add(1.0);
-  a.add(2.0);
-  RunningStats empty;
-  a.merge(empty);
-  EXPECT_EQ(a.count(), 2u);
-  RunningStats b;
-  b.merge(a);
-  EXPECT_EQ(b.count(), 2u);
-  EXPECT_NEAR(b.mean(), 1.5, 1e-12);
-}
-
-TEST(Percentile, InterpolatesLinearly) {
-  const std::vector<double> data{10.0, 20.0, 30.0, 40.0};
-  EXPECT_DOUBLE_EQ(percentile(data, 0.0), 10.0);
-  EXPECT_DOUBLE_EQ(percentile(data, 100.0), 40.0);
-  EXPECT_DOUBLE_EQ(percentile(data, 50.0), 25.0);
-}
-
-TEST(Percentile, UnsortedInputHandled) {
-  const std::vector<double> data{30.0, 10.0, 40.0, 20.0};
-  EXPECT_DOUBLE_EQ(percentile(data, 100.0), 40.0);
-}
-
-TEST(Percentile, Validation) {
-  EXPECT_THROW(percentile({}, 50.0), std::invalid_argument);
-  EXPECT_THROW(percentile(std::vector<double>{1.0}, -1.0),
-               std::invalid_argument);
-  EXPECT_THROW(percentile(std::vector<double>{1.0}, 101.0),
-               std::invalid_argument);
-}
-
-TEST(Mean, BasicAndValidation) {
-  EXPECT_DOUBLE_EQ(mean(std::vector<double>{1.0, 2.0, 3.0}), 2.0);
-  EXPECT_THROW(mean({}), std::invalid_argument);
-}
-
-TEST(Rmse, KnownValue) {
-  const std::vector<double> a{1.0, 2.0, 3.0};
-  const std::vector<double> b{1.0, 4.0, 3.0};
-  EXPECT_NEAR(rmse(a, b), std::sqrt(4.0 / 3.0), 1e-12);
-}
-
-TEST(Rmse, Validation) {
-  EXPECT_THROW(rmse(std::vector<double>{1.0}, std::vector<double>{1.0, 2.0}),
-               std::invalid_argument);
-  EXPECT_THROW(rmse({}, {}), std::invalid_argument);
-}
-
-TEST(Pearson, PerfectCorrelation) {
-  const std::vector<double> a{1.0, 2.0, 3.0, 4.0};
-  const std::vector<double> up{2.0, 4.0, 6.0, 8.0};
-  const std::vector<double> down{8.0, 6.0, 4.0, 2.0};
-  EXPECT_NEAR(pearson(a, up), 1.0, 1e-12);
-  EXPECT_NEAR(pearson(a, down), -1.0, 1e-12);
-}
-
-TEST(Pearson, Validation) {
-  const std::vector<double> flat{1.0, 1.0, 1.0};
-  const std::vector<double> v{1.0, 2.0, 3.0};
-  EXPECT_THROW(pearson(flat, v), std::invalid_argument);
-  EXPECT_THROW(pearson(std::vector<double>{1.0}, std::vector<double>{1.0}),
-               std::invalid_argument);
 }
 
 TEST(ConvergenceIndex, FindsSettlingPoint) {
